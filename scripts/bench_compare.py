@@ -64,11 +64,6 @@ def direction(name):
     # session that failed to come back after SIGKILL is lost work.
     if name.endswith("_replayed_symbols"):
         return "lower"
-    # Datapath traffic (BENCH_engine.json): bytes the enable&match
-    # kernels touch per input symbol — the cache-blocked tile layout
-    # exists to shrink this, so growth is a regression.
-    if name.endswith("_bytes_per_symbol"):
-        return "lower"
     # SVC pressure counters (BENCH_svc.json): an eviction displaces a
     # context the schedule may still need, and every re-upload pays the
     # 1668-cycle state-vector restore — more of either at a fixed

@@ -6,8 +6,8 @@
  * number of engine instances (one per flow).
  */
 
-#ifndef PAP_ENGINE_COMPILED_NFA_H
-#define PAP_ENGINE_COMPILED_NFA_H
+#ifndef PAP_ENG_COMPILED_NFA_H
+#define PAP_ENG_COMPILED_NFA_H
 
 #include <array>
 #include <cstdint>
@@ -105,4 +105,4 @@ class CompiledNfa
 
 } // namespace pap
 
-#endif // PAP_ENGINE_COMPILED_NFA_H
+#endif // PAP_ENG_COMPILED_NFA_H

@@ -7,8 +7,8 @@
  * construction is capped so pathological inputs terminate.
  */
 
-#ifndef PAP_ENGINE_DETERMINIZE_H
-#define PAP_ENGINE_DETERMINIZE_H
+#ifndef PAP_ENG_DETERMINIZE_H
+#define PAP_ENG_DETERMINIZE_H
 
 #include <cstdint>
 #include <vector>
@@ -48,4 +48,4 @@ DeterminizeResult subsetConstruction(
 
 } // namespace pap
 
-#endif // PAP_ENGINE_DETERMINIZE_H
+#endif // PAP_ENG_DETERMINIZE_H

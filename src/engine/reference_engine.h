@@ -6,8 +6,8 @@
  * literally.
  */
 
-#ifndef PAP_ENGINE_REFERENCE_ENGINE_H
-#define PAP_ENGINE_REFERENCE_ENGINE_H
+#ifndef PAP_ENG_REFERENCE_ENGINE_H
+#define PAP_ENG_REFERENCE_ENGINE_H
 
 #include <set>
 #include <vector>
@@ -40,4 +40,4 @@ ReferenceResult referenceRun(const Nfa &nfa,
 
 } // namespace pap
 
-#endif // PAP_ENGINE_REFERENCE_ENGINE_H
+#endif // PAP_ENG_REFERENCE_ENGINE_H

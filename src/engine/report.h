@@ -5,8 +5,8 @@
  * the output event buffer (Section 2.1); this is the software mirror.
  */
 
-#ifndef PAP_ENGINE_REPORT_H
-#define PAP_ENGINE_REPORT_H
+#ifndef PAP_ENG_REPORT_H
+#define PAP_ENG_REPORT_H
 
 #include <cstdint>
 #include <vector>
@@ -34,4 +34,4 @@ void sortAndDedupReports(std::vector<ReportEvent> &reports);
 
 } // namespace pap
 
-#endif // PAP_ENGINE_REPORT_H
+#endif // PAP_ENG_REPORT_H

@@ -3,8 +3,8 @@
  * Input symbol streams and segment views over them.
  */
 
-#ifndef PAP_ENGINE_TRACE_H
-#define PAP_ENGINE_TRACE_H
+#ifndef PAP_ENG_TRACE_H
+#define PAP_ENG_TRACE_H
 
 #include <cstdint>
 #include <string>
@@ -60,4 +60,4 @@ struct Segment
 
 } // namespace pap
 
-#endif // PAP_ENGINE_TRACE_H
+#endif // PAP_ENG_TRACE_H

@@ -29,10 +29,6 @@ namespace pap {
 /** Outcome of multiplexing independent streams on one half-core. */
 struct MultiStreamResult
 {
-    /** Backend that executed the streams. */
-    std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx2". */
-    std::string engineDatapath = "sparse";
     /** Cycles until the last stream finished. */
     Cycles totalCycles = 0;
     /** Context-switch cycles spent. */

@@ -14,11 +14,20 @@
 
 #include "ap/svc_policy.h"
 #include "common/types.h"
-#include "engine/engine_backend.h"
 
 namespace pap {
 
 class FaultInjector;
+
+/**
+ * Execution engine of a run. Every flow runs on the sparse
+ * FunctionalEngine; the benchmark harness names this type and its one
+ * value.
+ */
+enum class EngineKind : std::uint8_t
+{
+    Sparse,
+};
 
 /**
  * How host-side composition is scheduled against segment execution.
@@ -71,17 +80,9 @@ enum class OverflowPolicy : std::uint8_t
 /** Knobs for one PAP run. Every optimization can be ablated. */
 struct PapOptions
 {
-    /**
-     * Execution backend for the run's flows: the sparse active-id
-     * engine, the dense bit-parallel engine, the sparse-dense hybrid,
-     * or automatic selection (PAP_ENGINE env, then the size/density
-     * heuristic of resolveEngineKind, fed with the active density the
-     * baseline run measures). Reports, cycle counts, and all figure
-     * metrics are byte-identical either way; only host wall-clock
-     * changes. The verification oracle always runs sparse, so every
-     * word-packed run is cross-backend checked.
-     */
-    EngineKind engine = EngineKind::Auto;
+    /** Execution engine (always sparse; the benchmark harness sets
+     *  this field). */
+    EngineKind engine = EngineKind::Sparse;
 
     /**
      * Symbols each flow processes before a context switch (the TDM

@@ -10,10 +10,10 @@
 namespace pap {
 
 PartitionProfile
-choosePartitionSymbol(const std::array<std::uint32_t,
-                                       kAlphabetSize> &range_sizes,
+choosePartitionSymbol(const RangeAnalysis &ranges,
                       const InputTrace &input, std::uint32_t segments)
 {
+    const auto &range_sizes = ranges.rangeSizes();
     PAP_ASSERT(segments >= 1, "need at least one segment");
     PAP_TRACE_SCOPE("partition.profile");
 
@@ -53,17 +53,6 @@ choosePartitionSymbol(const std::array<std::uint32_t,
              "the most frequent symbol instead");
     }
     return best;
-}
-
-PartitionProfile
-choosePartitionSymbol(const RangeAnalysis &ranges,
-                      const InputTrace &input, std::uint32_t segments)
-{
-    std::array<std::uint32_t, kAlphabetSize> sizes{};
-    for (int s = 0; s < kAlphabetSize; ++s)
-        sizes[static_cast<std::size_t>(s)] =
-            ranges.rangeSize(static_cast<Symbol>(s));
-    return choosePartitionSymbol(sizes, input, segments);
 }
 
 std::vector<Segment>

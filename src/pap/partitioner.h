@@ -40,16 +40,6 @@ PartitionProfile choosePartitionSymbol(const RangeAnalysis &ranges,
                                        std::uint32_t segments);
 
 /**
- * Same selection over a precomputed per-symbol range-size table — the
- * dense backend reads these straight off its match-mask popcounts
- * (DenseNfa::rangeSizes()), skipping the sparse RangeAnalysis pass.
- */
-PartitionProfile
-choosePartitionSymbol(const std::array<std::uint32_t,
-                                       kAlphabetSize> &range_sizes,
-                      const InputTrace &input, std::uint32_t segments);
-
-/**
  * Cut @p input into @p segments half-open slices of roughly equal
  * size. Each cut is moved to the nearest occurrence of
  * @p boundary_symbol within a bounded window so segments end right

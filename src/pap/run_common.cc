@@ -7,28 +7,10 @@
 
 namespace pap {
 
-RunContext::RunContext(const Nfa &nfa, EngineKind requested,
-                       double density_hint)
-    : cnfa(std::make_unique<const CompiledNfa>(nfa)),
-      ctx(*cnfa, requested, density_hint)
+RunContext::RunContext(const Nfa &nfa, EngineKind, double)
+    : cnfa(std::make_unique<const CompiledNfa>(nfa))
 {
-    auto &m = obs::metrics();
-    switch (ctx.kind()) {
-    case EngineKind::Dense:
-        m.add("engine.runs.dense");
-        break;
-    case EngineKind::Hybrid:
-        m.add("engine.runs.hybrid");
-        break;
-    default:
-        m.add("engine.runs.sparse");
-        break;
-    }
-    // Gauge encodings (last run wins): engine.backend 0 = sparse,
-    // 1 = dense, 2 = hybrid; engine.simd mirrors SimdLevel (0 =
-    // scalar, 1 = avx2, 2 = avx512).
-    m.setGauge("engine.backend", static_cast<double>(ctx.kind()));
-    m.setGauge("engine.simd", static_cast<double>(ctx.simdLevel()));
+    obs::metrics().add("engine.runs.sparse");
 }
 
 Result<PipelineMode>

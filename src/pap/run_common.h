@@ -1,10 +1,9 @@
 /**
  * @file
  * Scaffolding shared by the run entry points (runner, speculative,
- * multistream): compiling the automaton, selecting the execution
- * backend, recording the selection, and building the hardened-driver
- * options from PapOptions. Hoisted here so every runner describes and
- * executes a run the same way.
+ * multistream): compiling the automaton and building the hardened-
+ * driver options from PapOptions. Hoisted here so every runner
+ * describes and executes a run the same way.
  */
 
 #ifndef PAP_PAP_RUN_COMMON_H
@@ -14,7 +13,6 @@
 #include <memory>
 
 #include "engine/compiled_nfa.h"
-#include "engine/engine_backend.h"
 #include "nfa/nfa.h"
 #include "pap/exec/driver.h"
 #include "pap/options.h"
@@ -22,50 +20,30 @@
 namespace pap {
 
 /**
- * Per-run compile-and-select context: owns the CompiledNfa (address-
- * stable, so the EngineContext referencing it survives moves) and the
- * backend selection. Constructing one records the selection into the
- * metrics registry (engine.backend gauge, engine.runs.* counters), so
- * each top-level run creates exactly one.
+ * Per-run compile context: owns the CompiledNfa (address-stable, so
+ * engines referencing it survive moves). Constructing one counts the
+ * run in the metrics registry (engine.runs.sparse), so each top-level
+ * run creates exactly one.
  */
 class RunContext
 {
   public:
     /**
-     * Compile @p nfa and select the backend for @p requested.
-     * @p density_hint is a measured active density (enables per symbol
-     * per state, e.g. from a baseline sequential run) that steers the
-     * Auto heuristic; pass -1 when unknown.
+     * Compile @p nfa. The engine and density arguments are ignored;
+     * the benchmark harness names this three-argument form.
      */
     explicit RunContext(const Nfa &nfa,
-                        EngineKind requested = EngineKind::Sparse,
-                        double density_hint = -1.0);
+                        EngineKind engine = EngineKind::Sparse,
+                        double density = -1.0);
 
     /** The compiled automaton. */
     const CompiledNfa &compiled() const { return *cnfa; }
 
-    /** The backend selection / engine factory. */
-    const EngineContext &engines() const { return ctx; }
-
-    /** Name of the selected backend ("sparse"/"dense"/"hybrid"). */
-    const char *backendName() const { return ctx.backendName(); }
-
-    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx2". */
-    const std::string &datapathName() const
-    {
-        return ctx.datapathName();
-    }
-
-    /**
-     * OK, or the typed selection error (an invalid PAP_ENGINE value).
-     * Run drivers must check this and fail the run with it instead of
-     * silently executing on the fallback backend.
-     */
-    const Status &status() const { return ctx.status(); }
+    /** Same as compiled(); the benchmark harness names this accessor. */
+    const CompiledNfa &engines() const { return *cnfa; }
 
   private:
     std::unique_ptr<const CompiledNfa> cnfa;
-    EngineContext ctx;
 };
 
 /** Parse "barrier" / "overlap" / "auto"; typed InvalidInput otherwise. */

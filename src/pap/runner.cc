@@ -7,7 +7,6 @@
 
 #include "ap/placement.h"
 #include "common/logging.h"
-#include "engine/dense_nfa.h"
 #include "engine/functional_engine.h"
 #include "nfa/analysis.h"
 #include "obs/metrics.h"
@@ -32,28 +31,20 @@ runSequential(const Nfa &nfa, const InputTrace &input,
 {
     PAP_TRACE_SCOPE("pap.sequential");
     CompiledNfa cnfa(nfa);
-    const EngineContext engines(cnfa, options.engine);
-    if (!engines.status().ok()) {
-        SequentialResult failed;
-        failed.status = engines.status();
-        return failed;
-    }
-    const auto engine = engines.make(/*starts=*/true);
-    engine->reset(cnfa.initialActive(), 0);
-    engine->run(input.begin(), input.size());
+    FunctionalEngine engine(cnfa, /*starts=*/true);
+    engine.reset(cnfa.initialActive(), 0);
+    engine.run(input.begin(), input.size());
 
     SequentialResult result;
-    result.engineBackend = engines.backendName();
-    result.engineDatapath = engines.datapathName();
-    result.matches = engine->counters().matches;
-    const EngineCounters &c = engine->counters();
+    const EngineCounters &c = engine.counters();
+    result.matches = c.matches;
     result.activeDensity =
         c.symbols && cnfa.size()
             ? static_cast<double>(c.enables) /
                   (static_cast<double>(c.symbols) *
                    static_cast<double>(cnfa.size()))
             : 0.0;
-    result.reports = engine->takeReports();
+    result.reports = engine.takeReports();
     const std::uint64_t entries = result.reports.size();
     sortAndDedupReports(result.reports);
     result.cycles =
@@ -270,47 +261,21 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     };
 
     // --- Sequential baseline (also the verification oracle) --------
-    // Runs first, always on the sparse reference backend: it doubles
-    // as the workload probe whose measured active density steers the
-    // Auto backend choice below, and a word-packed run is then
-    // cross-checked against an independent execution.
     if (sink)
         sink->begin("pap.baseline");
     const auto baseline_t0 = std::chrono::steady_clock::now();
-    PapOptions oracle_opt = options;
-    oracle_opt.engine = EngineKind::Sparse;
-    const SequentialResult seq = runSequential(nfa, input, oracle_opt);
+    const SequentialResult seq = runSequential(nfa, input, options);
     result.baselineCycles = seq.cycles;
     result.seqReportEvents = seq.reports.size();
     ledger.chargeWall("baseline", msSince(baseline_t0));
     if (sink)
         sink->end();
-    if (!seq.status.ok()) {
-        // The oracle only fails on a typed selection error (an
-        // invalid PAP_SIMD value); fail the run like an invalid flag.
-        result.status = seq.status;
-        finish_attrib();
-        recordRunMetrics(result);
-        return result;
-    }
 
     // --- Static analysis & placement -------------------------------
     if (sink)
         sink->begin("pap.analyze");
     const auto analyze_t0 = std::chrono::steady_clock::now();
-    const RunContext ctx(nfa, options.engine, seq.activeDensity);
-    if (!ctx.status().ok()) {
-        // Typed selection error (an invalid PAP_ENGINE value): the
-        // run must fail like an invalid --engine flag, not silently
-        // execute on a fallback backend.
-        if (sink)
-            sink->end();
-        result.status = ctx.status();
-        ledger.chargeWall("analyze", msSince(analyze_t0));
-        finish_attrib();
-        recordRunMetrics(result);
-        return result;
-    }
+    const RunContext ctx(nfa);
     const Result<PipelineMode> mode_resolved =
         resolvePipelineMode(options.pipeline);
     if (!mode_resolved.ok()) {
@@ -326,8 +291,6 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         mode_resolved.value() == PipelineMode::Overlap;
     result.pipelineMode = pipelineModeName(mode_resolved.value());
     const CompiledNfa &cnfa = ctx.compiled();
-    result.engineBackend = ctx.backendName();
-    result.engineDatapath = ctx.datapathName();
     const Components comps = connectedComponents(nfa);
     const std::vector<StateId> asg = alwaysActiveStates(nfa);
     const Placement placement = placeAutomaton(
@@ -361,17 +324,8 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     if (sink)
         sink->begin("pap.partition");
     const auto partition_t0 = std::chrono::steady_clock::now();
-    // The word-packed backends read the per-symbol ranges straight off
-    // the DenseNfa match-mask popcounts; the sparse path runs the
-    // RangeAnalysis pass here (the numbers are identical by
-    // construction).
     const PartitionProfile profile =
-        ctx.engines().denseNfa()
-            ? choosePartitionSymbol(
-                  ctx.engines().denseNfa()->rangeSizes(), input,
-                  num_segments)
-            : choosePartitionSymbol(RangeAnalysis(nfa), input,
-                                    num_segments);
+        choosePartitionSymbol(RangeAnalysis(nfa), input, num_segments);
     result.boundarySymbol = profile.symbol;
     result.boundaryRangeSize = profile.rangeSize;
     const std::vector<Segment> segs =
@@ -559,8 +513,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
             SegmentRun run;
             std::uint32_t batches = 1;
             if (j == 0) {
-                run = runGoldenSegment(ctx.engines(),
-                                       input.ptr(s.begin), s.begin,
+                run = runGoldenSegment(cnfa, input.ptr(s.begin), s.begin,
                                        s.length(), scratch, injector,
                                        &cancel);
             } else if (plans[j].flows.size() <= batch_cap ||
@@ -572,7 +525,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                 // confines it within a batch), and makes the reports
                 // byte-identical across policies and capacities by
                 // construction.
-                run = runEnumSegment(ctx.engines(), plans[j], asg,
+                run = runEnumSegment(cnfa, plans[j], asg,
                                      input.ptr(s.begin), s.begin,
                                      s.length(), options, scratch,
                                      kInvalidFlow, &cancel);
@@ -600,7 +553,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                     sub.flows.assign(plan.flows.begin() + first,
                                      plan.flows.begin() + last);
                     SegmentRun part = runEnumSegment(
-                        ctx.engines(), sub, b == 0 ? asg : no_asg,
+                        cnfa, sub, b == 0 ? asg : no_asg,
                         input.ptr(s.begin), s.begin, s.length(),
                         options, scratch, asg_id, &cancel);
                     if (b == 0)
@@ -740,8 +693,6 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
             result.degraded = true;
             obs::metrics().add("exec.segments.recovered");
             EngineScratch scratch(nfa.size());
-            // Deliberately the sparse reference engine: the recovery
-            // path must be independent of the backend under test.
             FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
             engine.reset(j == 0 ? cnfa.initialActive() : prev_final,
                          s.begin);

@@ -34,21 +34,11 @@ struct SequentialResult
     Cycles cycles = 0;
     /** State matches (transitions) performed. */
     std::uint64_t matches = 0;
-    /** Backend that executed the run ("sparse"/"dense"/"hybrid"). */
-    std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "dense+avx2". */
-    std::string engineDatapath = "sparse";
     /**
      * Measured active density: states enabled per symbol per state,
-     * in [0, 1]. This is the workload signal runPap feeds back into
-     * the Auto backend heuristic (kDenseAutoMinDensity).
+     * in [0, 1]. The benchmark harness names this field.
      */
     double activeDensity = 0.0;
-    /**
-     * Non-Ok only when the run could not execute at all (an invalid
-     * PAP_ENGINE value); all other fields are defaulted then.
-     */
-    Status status;
 };
 
 /** Run @p nfa sequentially over @p input. */
@@ -61,9 +51,8 @@ struct PapResult
     std::string name;
 
     // Configuration echo (Table 1).
-    /** Backend that executed the run's flows. */
-    std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx512". */
+    /** Execution datapath; always "sparse". The benchmark harness
+     *  prints this field. */
     std::string engineDatapath = "sparse";
     std::uint32_t numSegments = 1;
     std::uint32_t idealSpeedup = 1;
@@ -190,7 +179,7 @@ struct PapResult
     obs::AttribSnapshot attrib;
 
     // Engine introspection totals, summed over every flow the run
-    // executed (EngineCounters; backend-specific datapath cost).
+    // executed (EngineCounters; estimated host datapath cost).
     std::uint64_t engineSuccRows = 0;
     std::uint64_t engineMaskWords = 0;
     std::uint64_t engineBytesTouched = 0;

@@ -12,7 +12,7 @@
 namespace pap {
 
 SegmentRun
-runGoldenSegment(const EngineContext &engines, const Symbol *data,
+runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
                  std::uint64_t seg_begin, std::uint64_t seg_len,
                  EngineScratch &scratch, FaultInjector *injector,
                  const exec::CancellationToken *cancel)
@@ -23,11 +23,10 @@ runGoldenSegment(const EngineContext &engines, const Symbol *data,
     run.segBegin = seg_begin;
     run.segLen = seg_len;
 
-    const CompiledNfa &cnfa = engines.compiled();
-    const auto engine = engines.make(/*starts=*/true, &scratch);
-    engine->reset(cnfa.initialActive(), seg_begin);
+    FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
+    engine.reset(cnfa.initialActive(), seg_begin);
     if (!cancel) {
-        engine->run(data, seg_len);
+        engine.run(data, seg_len);
     } else {
         // Chunked so a watchdog cancellation is honored promptly.
         constexpr std::uint64_t kCancelCheckChunk = 4096;
@@ -35,7 +34,7 @@ runGoldenSegment(const EngineContext &engines, const Symbol *data,
         while (pos < seg_len && !cancel->cancelled()) {
             const std::uint64_t n =
                 std::min(kCancelCheckChunk, seg_len - pos);
-            engine->run(data + pos, n);
+            engine.run(data + pos, n);
             pos += n;
         }
     }
@@ -45,9 +44,9 @@ runGoldenSegment(const EngineContext &engines, const Symbol *data,
     rec.kind = FlowKind::Golden;
     rec.symbolsProcessed = seg_len;
     rec.cause = DeathCause::RanToEnd;
-    rec.finalSnapshot = engine->snapshot();
-    rec.counters = engine->counters();
-    rec.reports = engine->takeReports();
+    rec.finalSnapshot = engine.snapshot();
+    rec.counters = engine.counters();
+    rec.reports = engine.takeReports();
     if (injector)
         injector->onReportDrain(rec.reports, seg_begin);
     run.flows.push_back(std::move(rec));
@@ -59,7 +58,7 @@ namespace {
 /** Execution state for one flow during the lockstep TDM loop. */
 struct LiveFlow
 {
-    std::unique_ptr<EngineBackend> engine;
+    std::unique_ptr<FunctionalEngine> engine;
     FlowRecord record;
     bool alive = true;
 };
@@ -67,14 +66,13 @@ struct LiveFlow
 } // namespace
 
 SegmentRun
-runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
+runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
                const std::vector<StateId> &asg_seed, const Symbol *data,
                std::uint64_t seg_begin, std::uint64_t seg_len,
                const PapOptions &options, EngineScratch &scratch,
                FlowId asg_flow_id, const exec::CancellationToken *cancel)
 {
     PAP_TRACE_SCOPE("segment.enumerate");
-    const CompiledNfa &cnfa = engines.compiled();
     FaultInjector *injector = options.faultInjector;
     SegmentRun run;
     run.segBegin = seg_begin;
@@ -88,7 +86,8 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
     int asg_live_index = -1;
     if (!asg_seed.empty()) {
         LiveFlow lf;
-        lf.engine = engines.make(/*starts=*/true, &scratch);
+        lf.engine = std::make_unique<FunctionalEngine>(
+            cnfa, /*starts=*/true, &scratch);
         lf.engine->reset(asg_seed, seg_begin);
         lf.record.id = asg_flow_id == kInvalidFlow
                            ? static_cast<FlowId>(plan.flows.size())
@@ -100,7 +99,8 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
 
     for (const auto &spec : plan.flows) {
         LiveFlow lf;
-        lf.engine = engines.make(/*starts=*/false, &scratch);
+        lf.engine = std::make_unique<FunctionalEngine>(
+            cnfa, /*starts=*/false, &scratch);
         lf.engine->reset(spec.seed, seg_begin);
         lf.record.id = spec.id;
         lf.record.kind = FlowKind::Enum;
@@ -219,9 +219,8 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
                 if (members.size() < 2)
                     continue;
                 // Lowest index survives; verify equality exactly (the
-                // SVC comparator is bitwise, not a hash): a word
-                // compare on the dense backend, a cached sorted-id
-                // compare on the sparse one.
+                // SVC comparator is bitwise, not a hash) with a cached
+                // sorted-id compare.
                 const auto &winner = *live[members.front()].engine;
                 for (std::size_t m = 1; m < members.size(); ++m) {
                     auto &loser = live[members[m]];

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/engine_backend.h"
 #include "engine/functional_engine.h"
 #include "pap/exec/cancellation.h"
 #include "pap/flow_plan.h"
@@ -84,14 +83,13 @@ class FaultInjector;
 
 /**
  * Run the first segment: a single golden flow with full start-state
- * machinery, seeded with the StartOfData states. The flow's engine is
- * created by @p engines (sparse or dense backend; the results are
- * identical either way). @p injector, when non-null, may drop or
+ * machinery, seeded with the StartOfData states, running over
+ * @p cnfa. @p injector, when non-null, may drop or
  * truncate the flow's report buffer. @p cancel, when non-null, is
  * polled cooperatively (the run is chunked); a cancelled run returns
  * early with a partial record the caller must discard.
  */
-SegmentRun runGoldenSegment(const EngineContext &engines,
+SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
                             const Symbol *data,
                             std::uint64_t seg_begin, std::uint64_t seg_len,
                             EngineScratch &scratch,
@@ -112,7 +110,7 @@ SegmentRun runGoldenSegment(const EngineContext &engines,
  * @p cancel, when non-null, is polled once per TDM round; a cancelled
  * run returns early with a partial record the caller must discard.
  */
-SegmentRun runEnumSegment(const EngineContext &engines,
+SegmentRun runEnumSegment(const CompiledNfa &cnfa,
                           const FlowPlan &plan,
                           const std::vector<StateId> &asg_seed,
                           const Symbol *data, std::uint64_t seg_begin,

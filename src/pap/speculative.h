@@ -38,8 +38,6 @@ namespace pap {
 /** Knobs of the speculative runner. */
 struct SpeculationOptions
 {
-    /** Execution backend for the speculative flows (see PapOptions). */
-    EngineKind engine = EngineKind::Auto;
     /** Warmup window: symbols re-executed before each segment. */
     std::uint32_t warmupWindow = 256;
     /** Cap parallel time at the sequential baseline. */
@@ -68,10 +66,6 @@ struct SpeculationOptions
 struct SpeculationResult
 {
     std::string name;
-    /** Backend that executed the run ("sparse"/"dense"/"hybrid"). */
-    std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "dense+avx2". */
-    std::string engineDatapath = "sparse";
     std::uint32_t numSegments = 1;
     std::uint32_t idealSpeedup = 1;
     /** Fraction of segments whose prediction was exact. */
@@ -93,7 +87,7 @@ struct SpeculationResult
     std::uint32_t threadsUsed = 1;
     /**
      * Non-Ok only when the run could not execute at all (an invalid
-     * PAP_ENGINE / PAP_PIPELINE value); other fields are defaulted.
+     * PAP_PIPELINE value); other fields are defaulted.
      */
     Status status;
 };

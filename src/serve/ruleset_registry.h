@@ -30,7 +30,6 @@
 #include "common/error.h"
 #include "common/types.h"
 #include "engine/compiled_nfa.h"
-#include "engine/engine_backend.h"
 #include "nfa/analysis.h"
 #include "nfa/nfa.h"
 
@@ -44,10 +43,8 @@ struct CompiledRuleset
     std::uint64_t generation = 0;
     /** Owned copy of the automaton (sessions outlive the caller's). */
     Nfa nfa;
-    /** Compiled form; address-stable for the EngineContext reference. */
+    /** Compiled form; address-stable for the engines referencing it. */
     std::unique_ptr<const CompiledNfa> cnfa;
-    /** Engine factory bound to @c cnfa. */
-    std::unique_ptr<EngineContext> engines;
     /** Connected components (composition needs the path masks). */
     Components comps;
     /** Sorted Active State Group states. */
@@ -65,9 +62,6 @@ struct CompiledRuleset
 class RulesetRegistry
 {
   public:
-    /** @p engine is the backend preference every install compiles with. */
-    explicit RulesetRegistry(EngineKind engine);
-
     /**
      * Compile @p nfa (which must be finalized) and publish it as the
      * new current generation. Returns the installed ruleset; existing
@@ -100,7 +94,6 @@ class RulesetRegistry
 
   private:
     mutable std::mutex mutex_;
-    EngineKind engine_;
     std::shared_ptr<const CompiledRuleset> current_;
     std::uint64_t nextGeneration_ = 1;
     mutable std::vector<std::weak_ptr<const CompiledRuleset>> live_;

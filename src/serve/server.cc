@@ -175,7 +175,7 @@ struct Server::Session
 };
 
 Server::Server(const ServeOptions &options, const Nfa &ruleset)
-    : opts_(options), registry_(options.pap.engine)
+    : opts_(options)
 {
     threads_ = exec::WorkerPool::resolveThreads(opts_.threads);
     execPap_ = opts_.pap;
@@ -664,11 +664,11 @@ Server::executeChunk(Session &s, Chunk &chunk)
             SegmentRun run;
             std::uint32_t batches = 1;
             if (chunk.first) {
-                run = runGoldenSegment(*rs.engines, chunk.data.data(),
+                run = runGoldenSegment(*rs.cnfa, chunk.data.data(),
                                        chunk.begin, chunk.data.size(),
                                        scratch, nullptr, token.get());
             } else if (chunk.plan.flows.size() <= batch_cap) {
-                run = runEnumSegment(*rs.engines, chunk.plan, rs.asg,
+                run = runEnumSegment(*rs.cnfa, chunk.plan, rs.asg,
                                      chunk.data.data(), chunk.begin,
                                      chunk.data.size(), execPap_,
                                      scratch, kInvalidFlow,
@@ -697,7 +697,7 @@ Server::executeChunk(Session &s, Chunk &chunk)
                                          static_cast<std::ptrdiff_t>(
                                              last));
                     SegmentRun part = runEnumSegment(
-                        *rs.engines, sub, b == 0 ? rs.asg : no_asg,
+                        *rs.cnfa, sub, b == 0 ? rs.asg : no_asg,
                         chunk.data.data(), chunk.begin,
                         chunk.data.size(), execPap_, scratch, asg_id,
                         token.get());
@@ -877,9 +877,8 @@ Server::composeChunk(Session &s, Chunk &chunk)
 {
     const CompiledRuleset &rs = *s.ruleset;
     if (chunk.oracle || chunk.failed) {
-        // Sequential continuation from the composition frontier: the
-        // sparse reference engine, independent of the backend under
-        // test, exactly like the one-shot runner's recovery path.
+        // Sequential continuation from the composition frontier,
+        // exactly like the one-shot runner's recovery path.
         EngineScratch scratch(rs.nfa.size());
         FunctionalEngine engine(*rs.cnfa, /*starts=*/true, &scratch);
         engine.reset(chunk.first ? rs.cnfa->initialActive()
@@ -1515,8 +1514,6 @@ Server::stats() const
     out.queueDepth = queue_.size();
     out.generation = registry_.generation();
     out.liveGenerations = registry_.liveGenerations();
-    if (const auto ruleset = registry_.current())
-        out.engineDatapath = ruleset->engines->datapathName();
     return out;
 }
 

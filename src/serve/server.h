@@ -166,7 +166,8 @@ struct ServerStats
     std::size_t queueDepth = 0;
     std::uint64_t generation = 0;
     std::size_t liveGenerations = 0;
-    /** Datapath of the current ruleset's engines ("hybrid+avx2"...). */
+    /** Execution datapath; always "sparse". The benchmark harness
+     *  prints this field. */
     std::string engineDatapath = "sparse";
 };
 

@@ -26,43 +26,18 @@ cmp m.nfa m2.nfa
 "$PAPSIM" gentrace m.anml t.bin 32768 --pm=0.6 --seed=3 \
     | grep -q "wrote 32768 symbols"
 
-"$PAPSIM" run m.nfa t.bin --sequential | grep -q "sequential\["
+"$PAPSIM" run m.nfa t.bin --sequential | grep -q "^sequential: "
 "$PAPSIM" run m.nfa t.bin --ranks=4 --verbose | grep -q "(verified)"
-"$PAPSIM" run m.anml t.bin --spec=128 | grep -q "speculative\["
-
-# Engine backends: all run verified and agree symbol for symbol. The
-# tag carries the dispatched SIMD level (e.g. dense+avx2), so match
-# the backend prefix and strip the whole bracket before comparing.
-SPARSE=$("$PAPSIM" run m.nfa t.bin --ranks=4 --engine=sparse)
-DENSE=$("$PAPSIM" run m.nfa t.bin --ranks=4 --engine=dense)
-HYBRID=$("$PAPSIM" run m.nfa t.bin --ranks=4 --engine=hybrid)
-SCALAR=$(PAP_SIMD=off "$PAPSIM" run m.nfa t.bin --ranks=4 \
-    --engine=dense)
-echo "$SPARSE" | grep -q "PAP\[sparse\]"
-echo "$DENSE" | grep -q "PAP\[dense"
-echo "$HYBRID" | grep -q "PAP\[hybrid"
-echo "$SCALAR" | grep -q "PAP\[dense\]"
-strip_tag() { sed 's/\[[a-z0-9+]*\]//'; }
-test "$(echo "$SPARSE" | strip_tag)" = "$(echo "$DENSE" | strip_tag)"
-test "$(echo "$SPARSE" | strip_tag)" = "$(echo "$HYBRID" | strip_tag)"
-test "$(echo "$SPARSE" | strip_tag)" = "$(echo "$SCALAR" | strip_tag)"
-PAP_ENGINE=dense "$PAPSIM" run m.nfa t.bin --ranks=4 \
-    | grep -q "PAP\[dense"
-if PAP_SIMD=bogus "$PAPSIM" run m.nfa t.bin --ranks=4 2>/dev/null; then
-    exit 1
-fi
-(PAP_SIMD=bogus "$PAPSIM" run m.nfa t.bin --ranks=4 2>&1 || true) \
-    | grep -q "InvalidInput"
+"$PAPSIM" run m.anml t.bin --spec=128 | grep -q "^speculative: "
 
 # Fault injection: deterministic, detected, recovered, same matches.
-CLEAN=$("$PAPSIM" run m.nfa t.bin --ranks=4 | grep "PAP\[")
+CLEAN=$("$PAPSIM" run m.nfa t.bin --ranks=4 | grep "^PAP: ")
 FAULTY=$("$PAPSIM" run m.nfa t.bin --ranks=4 \
     --inject-faults=all:16 --fault-seed=7 2>/dev/null)
 echo "$FAULTY" | grep -q "(recovered)"
 echo "$FAULTY" | grep -q "detected=80 recovered=80"
-CLEAN_MATCHES=$(echo "$CLEAN" \
-    | sed 's/PAP\[[a-z0-9+]*\]: \([0-9]*\) matches.*/\1/')
-echo "$FAULTY" | grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches"
+CLEAN_MATCHES=$(echo "$CLEAN" | sed 's/PAP: \([0-9]*\) matches.*/\1/')
+echo "$FAULTY" | grep -q "PAP: $CLEAN_MATCHES matches"
 # Overflow policies parse and run.
 "$PAPSIM" run m.nfa t.bin --ranks=4 --overflow=batch \
     | grep -q "(verified)"
@@ -82,9 +57,21 @@ if "$PAPSIM" run m.nfa t.bin --inject-faults=bogus 2>/dev/null; then
     exit 1
 fi
 if "$PAPSIM" run m.nfa t.bin --overflow=wat 2>/dev/null; then exit 1; fi
-if "$PAPSIM" run m.nfa t.bin --engine=bogus 2>/dev/null; then exit 1; fi
-("$PAPSIM" run m.nfa t.bin --engine=bogus 2>&1 || true) \
-    | grep -q "InvalidInput"
+# Every command rejects a flag it does not know: typed error, exit 2.
+# That includes the retired --engine, which must not run silently.
+for CMD in "run m.nfa t.bin --frobnicate=3" "run m.nfa t.bin --engine=dense" \
+        "compile rules.txt x.nfa --frobnicate" "analyze m.nfa --frobnicate" \
+        "gentrace m.nfa x.bin 16 --frobnicate" "convert m.nfa x.anml --x" \
+        "bench Bro217 --frobnicate" "serve m.nfa --socket=s --engine=sparse" \
+        "stream s alice t.bin --frobnicate" "ctl s ping --frobnicate"; do
+    set +e
+    # shellcheck disable=SC2086
+    OUT=$("$PAPSIM" $CMD 2>&1)
+    RC=$?
+    set -e
+    test "$RC" -eq 2
+    echo "$OUT" | grep -q "InvalidInput.*unknown flag"
+done
 printf '# nothing\n' > empty_rules.txt
 if "$PAPSIM" compile empty_rules.txt e.nfa 2>/dev/null; then exit 1; fi
 

@@ -77,13 +77,13 @@ done
 
 # A transient crash fault heals by retry: same matches as the clean
 # run and the run still verifies.
-CLEAN=$("$PAPSIM" run m.nfa t.bin --ranks=4 | grep "PAP\[")
+CLEAN=$("$PAPSIM" run m.nfa t.bin --ranks=4 | grep "^PAP: ")
 CLEAN_MATCHES=$(echo "$CLEAN" \
-    | sed 's/PAP\[[a-z0-9+]*\]: \([0-9]*\) matches.*/\1/')
+    | sed 's/PAP: \([0-9]*\) matches.*/\1/')
 FAULTY=$("$PAPSIM" run m.nfa t.bin --ranks=4 --threads=2 \
     --inject-faults=crash-worker:1 --fault-seed=7 2>/dev/null)
 echo "$FAULTY" | grep -q "(verified)"
-echo "$FAULTY" | grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches"
+echo "$FAULTY" | grep -q "PAP: $CLEAN_MATCHES matches"
 echo "$FAULTY" | grep -q "segments retried"
 
 # A persistent stall exhausts its retries, falls back to the
@@ -91,7 +91,7 @@ echo "$FAULTY" | grep -q "segments retried"
 STALLED=$("$PAPSIM" run m.nfa t.bin --ranks=4 --threads=2 \
     --deadline-ms=5 --max-retries=1 \
     --inject-faults=stall-worker:8 --fault-seed=7 2>/dev/null)
-echo "$STALLED" | grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches"
+echo "$STALLED" | grep -q "PAP: $CLEAN_MATCHES matches"
 echo "$STALLED" | grep -q "recovered"
 
 # --- Checkpoint / resume --------------------------------------------

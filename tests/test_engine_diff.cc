@@ -1,19 +1,17 @@
 /**
  * @file
- * Differential tests of the EngineBackend implementations: the sparse
- * FunctionalEngine (reference), the dense BitsetEngine, and the
- * HybridEngine must be observationally identical — same sorted
- * reports, snapshots, state hashes, and counters — on random automata
- * and random inputs, at every SIMD dispatch level the host can
- * execute, and whole PAP runs must be byte-identical (reports, cycle
- * counts, checkpoint files) regardless of the backend.
+ * Differential tests of the sparse FunctionalEngine against the
+ * reference interpreter (referenceRun): step by step on random
+ * automata in start mode and in enumeration mode with random seeds,
+ * across overwriteActive, and on a 16K-state automaton. Whole PAP
+ * runs over that automaton must be byte-identical (reports, cycle
+ * counts, per-segment facts) across thread counts, pipeline modes and
+ * a checkpoint resume.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,15 +19,11 @@
 #include "common/charclass.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "engine/bitset_engine.h"
 #include "engine/compiled_nfa.h"
-#include "engine/dense_nfa.h"
-#include "engine/engine_backend.h"
 #include "engine/functional_engine.h"
-#include "engine/hybrid_engine.h"
+#include "engine/reference_engine.h"
 #include "engine/simd.h"
 #include "engine/trace.h"
-#include "nfa/analysis.h"
 #include "nfa/glushkov.h"
 #include "pap/exec/checkpoint.h"
 #include "pap/runner.h"
@@ -38,75 +32,6 @@
 namespace pap {
 namespace {
 
-/** All three backends over one automaton, stepped in lockstep. */
-struct EngineTrio
-{
-    CompiledNfa cnfa;
-    DenseNfa dnfa;
-    EngineScratch scratch;
-    FunctionalEngine sparse;
-    BitsetEngine dense;
-    HybridEngine hybrid;
-
-    EngineTrio(const Nfa &nfa, bool starts,
-               SimdLevel simd = currentSimdLevel())
-        : cnfa(nfa), dnfa(cnfa), scratch(nfa.size()),
-          sparse(cnfa, starts, &scratch), dense(dnfa, starts, simd),
-          hybrid(dnfa, starts, simd)
-    {
-    }
-
-    void
-    reset(const std::vector<StateId> &seed, std::uint64_t base = 0)
-    {
-        sparse.reset(seed, base);
-        dense.reset(seed, base);
-        hybrid.reset(seed, base);
-    }
-
-    void
-    step(Symbol s)
-    {
-        sparse.step(s);
-        dense.step(s);
-        hybrid.step(s);
-    }
-
-    void
-    run(const Symbol *data, std::size_t len)
-    {
-        sparse.run(data, len);
-        dense.run(data, len);
-        hybrid.run(data, len);
-    }
-
-    /** The full equivalence contract at the current instant. */
-    void
-    expectSameObservableState(const char *where) const
-    {
-        for (const EngineBackend *other :
-             {static_cast<const EngineBackend *>(&dense),
-              static_cast<const EngineBackend *>(&hybrid)}) {
-            EXPECT_EQ(sparse.activeCount(), other->activeCount())
-                << where;
-            EXPECT_EQ(sparse.snapshot(), other->snapshot()) << where;
-            EXPECT_EQ(sparse.stateHash(), other->stateHash()) << where;
-            EXPECT_EQ(sparse.dead(), other->dead()) << where;
-            EXPECT_EQ(sparse.cursor(), other->cursor()) << where;
-            EXPECT_TRUE(sparse.sameActiveSet(*other)) << where;
-            EXPECT_TRUE(other->sameActiveSet(sparse)) << where;
-            const EngineCounters &a = sparse.counters();
-            const EngineCounters &b = other->counters();
-            EXPECT_EQ(a.symbols, b.symbols) << where;
-            EXPECT_EQ(a.matches, b.matches) << where;
-            EXPECT_EQ(a.enables, b.enables) << where;
-        }
-        // Word-packed peers also word-compare against each other.
-        EXPECT_TRUE(dense.sameActiveSet(hybrid)) << where;
-        EXPECT_TRUE(hybrid.sameActiveSet(dense)) << where;
-    }
-};
-
 std::vector<ReportEvent>
 sortedReports(std::vector<ReportEvent> raw)
 {
@@ -114,86 +39,95 @@ sortedReports(std::vector<ReportEvent> raw)
     return raw;
 }
 
-TEST(EngineDiff, FuzzAllBackendsAgreeStepByStep)
+/**
+ * @p nfa with its start configuration replaced by @p seed: the seeded
+ * states become StartOfData (enabled before the first symbol) and
+ * every other start becomes None, except that AllInput starts stay
+ * when @p keep_all_input. referenceRun over the result is the
+ * reference for an engine seeded with @p seed — in enumeration mode
+ * (no start machinery, @p keep_all_input false) or in start mode.
+ */
+Nfa
+reseeded(const Nfa &nfa, const std::vector<StateId> &seed,
+         bool keep_all_input)
+{
+    Nfa out = nfa;
+    for (StateId q = 0; q < out.size(); ++q) {
+        NfaState &st = out.mutableState(q);
+        if (!(keep_all_input && st.start == StartType::AllInput))
+            st.start = StartType::None;
+    }
+    for (const StateId q : seed)
+        if (out[q].start == StartType::None)
+            out.mutableState(q).start = StartType::StartOfData;
+    out.finalize();
+    return out;
+}
+
+/** The reference's enabled set, minus AllInput starts when the engine
+ *  runs start machinery (it keeps them out of its active list). */
+std::vector<StateId>
+expectedActive(const Nfa &ref_nfa, const std::set<StateId> &enabled,
+               bool starts)
+{
+    std::vector<StateId> out;
+    for (const StateId q : enabled)
+        if (!starts || ref_nfa[q].start != StartType::AllInput)
+            out.push_back(q);
+    return out;
+}
+
+/**
+ * Step @p engine over @p t, comparing its active set with the
+ * reference run of @p ref_nfa after every @p every-th symbol and its
+ * sorted reports at the end.
+ */
+void
+expectMatchesReference(FunctionalEngine &engine, const Nfa &ref_nfa,
+                       const InputTrace &t, bool starts,
+                       std::uint64_t every, const std::string &what)
+{
+    const ReferenceResult ref =
+        referenceRun(ref_nfa, t.symbols(), /*record_sets=*/true);
+    for (std::uint64_t i = 0; i < t.size(); ++i) {
+        engine.step(t[i]);
+        if (i % every != 0 && i + 1 != t.size())
+            continue;
+        const auto expect =
+            expectedActive(ref_nfa, ref.enabledAfter[i], starts);
+        ASSERT_EQ(engine.snapshot(), expect) << what << " at " << i;
+        EXPECT_EQ(engine.activeCount(), expect.size()) << what;
+        EXPECT_EQ(engine.dead(), expect.empty()) << what;
+    }
+    EXPECT_EQ(engine.cursor(), t.size()) << what;
+    EXPECT_EQ(sortedReports(engine.takeReports()), ref.reports) << what;
+}
+
+TEST(EngineDiff, FuzzMatchesReferenceStepByStep)
 {
     Rng rng(1234);
     for (int iter = 0; iter < 40; ++iter) {
         const Nfa nfa = randomNfa(rng, 4);
+        const CompiledNfa cnfa(nfa);
         const InputTrace t =
             randomTextTrace(rng, 256 + rng.nextBelow(512), "abcdefgh\n ");
         for (const bool starts : {true, false}) {
-            EngineTrio p(nfa, starts);
-            // Enum mode seeds a random state subset; start mode seeds
-            // the initial active set like a fresh flow.
-            std::vector<StateId> seed = p.cnfa.initialActive();
+            // Start mode seeds the initial active set like a fresh
+            // flow; enum mode seeds a random state subset.
+            std::vector<StateId> seed = cnfa.initialActive();
             if (!starts) {
                 seed.clear();
                 for (StateId q = 0; q < nfa.size(); ++q)
                     if (rng.nextBool(0.25))
                         seed.push_back(q);
             }
-            p.reset(seed);
-            p.expectSameObservableState("after reset");
-            for (std::uint64_t i = 0; i < t.size(); ++i) {
-                p.step(t.begin()[i]);
-                // Full-state compares every few symbols keep the fuzz
-                // loop fast without losing divergence localization.
-                if (i % 17 == 0)
-                    p.expectSameObservableState("mid-run");
-            }
-            p.expectSameObservableState("after run");
-            const auto expected = sortedReports(p.sparse.takeReports());
-            EXPECT_EQ(expected, sortedReports(p.dense.takeReports()))
-                << "iter " << iter << " starts " << starts;
-            EXPECT_EQ(expected, sortedReports(p.hybrid.takeReports()))
-                << "iter " << iter << " starts " << starts;
-        }
-    }
-}
-
-TEST(EngineDiff, EverySimdLevelMatchesScalarInLockstep)
-{
-    // The word-packed kernels must be bit-exact across dispatch
-    // levels: run the scalar trio and a vectorized trio side by side
-    // for every level the host supports (clamp-down makes requesting
-    // an unsupported level impossible by construction).
-    Rng rng(4321);
-    for (int lvl = static_cast<int>(SimdLevel::Avx2);
-         lvl <= static_cast<int>(detectSimdLevel()); ++lvl) {
-        const SimdLevel level = static_cast<SimdLevel>(lvl);
-        for (int iter = 0; iter < 8; ++iter) {
-            const Nfa nfa = randomNfa(rng, 4);
-            const InputTrace t =
-                randomTextTrace(rng, 512, "abcdefgh\n ");
-            for (const bool starts : {true, false}) {
-                EngineTrio scalar(nfa, starts, SimdLevel::Scalar);
-                EngineTrio vec(nfa, starts, level);
-                scalar.reset(scalar.cnfa.initialActive());
-                vec.reset(vec.cnfa.initialActive());
-                for (std::uint64_t i = 0; i < t.size(); ++i) {
-                    scalar.step(t.begin()[i]);
-                    vec.step(t.begin()[i]);
-                    if (i % 31 != 0)
-                        continue;
-                    EXPECT_EQ(scalar.dense.stateHash(),
-                              vec.dense.stateHash())
-                        << simdLevelName(level);
-                    EXPECT_EQ(scalar.hybrid.stateHash(),
-                              vec.hybrid.stateHash())
-                        << simdLevelName(level);
-                }
-                scalar.expectSameObservableState("scalar trio");
-                vec.expectSameObservableState("vector trio");
-                EXPECT_EQ(scalar.dense.snapshot(), vec.dense.snapshot());
-                EXPECT_EQ(scalar.hybrid.snapshot(),
-                          vec.hybrid.snapshot());
-                EXPECT_EQ(sortedReports(scalar.dense.takeReports()),
-                          sortedReports(vec.dense.takeReports()))
-                    << simdLevelName(level);
-                EXPECT_EQ(sortedReports(scalar.hybrid.takeReports()),
-                          sortedReports(vec.hybrid.takeReports()))
-                    << simdLevelName(level);
-            }
+            FunctionalEngine engine(cnfa, starts);
+            engine.reset(seed);
+            expectMatchesReference(
+                engine, starts ? nfa : reseeded(nfa, seed, false), t,
+                starts, 17,
+                "iter " + std::to_string(iter) + " starts " +
+                    std::to_string(starts));
         }
     }
 }
@@ -201,50 +135,80 @@ TEST(EngineDiff, EverySimdLevelMatchesScalarInLockstep)
 TEST(EngineDiff, RunBulkMatchesStepwise)
 {
     Rng rng(99);
-    const Nfa nfa = randomNfa(rng, 3);
-    const InputTrace t = randomTextTrace(rng, 2048, "abcdefgh");
-    EngineTrio p(nfa, true);
-    p.reset(p.cnfa.initialActive());
-    p.run(t.begin(), t.size());
-    p.expectSameObservableState("after bulk run");
-    const auto expected = sortedReports(p.sparse.takeReports());
-    EXPECT_EQ(expected, sortedReports(p.dense.takeReports()));
-    EXPECT_EQ(expected, sortedReports(p.hybrid.takeReports()));
+    for (const bool starts : {true, false}) {
+        const Nfa nfa = randomNfa(rng, 3);
+        const CompiledNfa cnfa(nfa);
+        const InputTrace t = randomTextTrace(rng, 2048, "abcdefgh");
+        std::vector<StateId> seed = cnfa.initialActive();
+        if (!starts)
+            for (StateId q = 0; q < nfa.size(); q += 3)
+                seed.push_back(q);
+        FunctionalEngine bulk(cnfa, starts);
+        FunctionalEngine stepwise(cnfa, starts);
+        bulk.reset(seed, 500);
+        stepwise.reset(seed, 500);
+        bulk.run(t.begin(), t.size());
+        for (std::uint64_t i = 0; i < t.size(); ++i)
+            stepwise.step(t[i]);
+        EXPECT_EQ(bulk.snapshot(), stepwise.snapshot());
+        EXPECT_EQ(bulk.stateHash(), stepwise.stateHash());
+        EXPECT_TRUE(bulk.sameActiveSet(stepwise));
+        EXPECT_EQ(bulk.cursor(), stepwise.cursor());
+        const EngineCounters &a = bulk.counters();
+        const EngineCounters &b = stepwise.counters();
+        EXPECT_EQ(a.symbols, b.symbols);
+        EXPECT_EQ(a.matches, b.matches);
+        EXPECT_EQ(a.enables, b.enables);
+        EXPECT_EQ(a.bytesTouched, b.bytesTouched);
+        EXPECT_EQ(a.densityOctiles, b.densityOctiles);
+        EXPECT_EQ(bulk.takeReports(), stepwise.takeReports());
+    }
 }
 
 TEST(EngineDiff, OverwriteActiveAppliesSameFiltering)
 {
-    // overwriteActive must drop AllInput starts when start machinery
-    // is live, identically on both backends.
+    // overwriteActive drops AllInput starts when start machinery is
+    // live, exactly like reset(), and keeps them otherwise; the run
+    // that follows matches the reference seeded with the survivors.
     Rng rng(7);
     const Nfa nfa = compileRuleset({{".*ab", 1}, {"cd", 2}}, "m");
+    const CompiledNfa cnfa(nfa);
     const InputTrace t = randomTextTrace(rng, 512, "abcd");
+    std::vector<StateId> all;
+    for (StateId q = 0; q < nfa.size(); ++q)
+        all.push_back(q);
     for (const bool starts : {true, false}) {
-        EngineTrio p(nfa, starts);
-        p.reset(p.cnfa.initialActive());
-        p.run(t.begin(), 100);
-        std::vector<StateId> all;
-        for (StateId q = 0; q < nfa.size(); ++q)
-            all.push_back(q);
-        p.sparse.overwriteActive(all);
-        p.dense.overwriteActive(all);
-        p.hybrid.overwriteActive(all);
-        p.expectSameObservableState("after overwrite");
-        p.run(t.begin() + 100, t.size() - 100);
-        p.expectSameObservableState("after overwrite + run");
-    }
-}
+        FunctionalEngine engine(cnfa, starts);
+        engine.reset(cnfa.initialActive());
+        engine.run(t.begin(), 100);
+        engine.overwriteActive(all);
+        std::vector<StateId> kept;
+        for (const StateId q : all)
+            if (!starts || !cnfa.isAllInputStart(q))
+                kept.push_back(q);
+        EXPECT_EQ(engine.snapshot(), kept) << "starts " << starts;
+        EXPECT_EQ(engine.cursor(), 100u) << "starts " << starts;
+        engine.takeReports(); // drop the reports from before it
 
-TEST(EngineDiff, DenseRangeSizesMatchRangeAnalysis)
-{
-    Rng rng(31);
-    for (int iter = 0; iter < 10; ++iter) {
-        const Nfa nfa = randomNfa(rng, 4);
-        const CompiledNfa cnfa(nfa);
-        const DenseNfa dnfa(cnfa);
-        const RangeAnalysis ranges(nfa);
-        EXPECT_EQ(dnfa.rangeSizes(), ranges.rangeSizes())
-            << "iter " << iter;
+        // The reference replays what follows the overwrite, seeded
+        // with the survivors; a fresh engine reset() with the same
+        // seed tracks it step by step.
+        const InputTrace rest(std::vector<Symbol>(t.begin() + 100,
+                                                  t.begin() + t.size()));
+        const Nfa ref_nfa = reseeded(nfa, kept, starts);
+        FunctionalEngine fresh(cnfa, starts);
+        fresh.reset(all);
+        expectMatchesReference(fresh, ref_nfa, rest, starts, 7,
+                               "starts " + std::to_string(starts));
+
+        engine.run(rest.begin(), rest.size());
+        EXPECT_EQ(engine.snapshot(), fresh.snapshot());
+        std::vector<ReportEvent> after = engine.takeReports();
+        for (ReportEvent &e : after)
+            e.offset -= 100;
+        EXPECT_EQ(sortedReports(after),
+                  referenceRun(ref_nfa, rest.symbols()).reports)
+            << "starts " << starts;
     }
 }
 
@@ -259,21 +223,7 @@ smallBoard(std::uint32_t half_cores)
     return cfg;
 }
 
-struct Workload
-{
-    Nfa nfa;
-    InputTrace input;
-};
-
-Workload
-diffWorkload(std::uint64_t seed)
-{
-    Rng rng(seed);
-    return Workload{randomNfa(rng, 4),
-                    randomTextTrace(rng, 16384, "abcdefgh ")};
-}
-
-/** The figure-level facts that must be backend-invariant. */
+/** The figure-level facts two runs of one workload must share. */
 void
 expectSameRun(const PapResult &a, const PapResult &b)
 {
@@ -301,343 +251,15 @@ expectSameRun(const PapResult &a, const PapResult &b)
     }
 }
 
-TEST(EngineDiff, PapRunsAreByteIdenticalAcrossBackends)
-{
-    for (const std::uint64_t seed : {11u, 22u, 33u}) {
-        const Workload w = diffWorkload(seed);
-        const ApConfig board = smallBoard(8);
-        PapOptions sparse_opt;
-        sparse_opt.engine = EngineKind::Sparse;
-        PapOptions dense_opt;
-        dense_opt.engine = EngineKind::Dense;
-        PapOptions hybrid_opt;
-        hybrid_opt.engine = EngineKind::Hybrid;
-        const PapResult a = runPap(w.nfa, w.input, board, sparse_opt);
-        const PapResult b = runPap(w.nfa, w.input, board, dense_opt);
-        const PapResult c = runPap(w.nfa, w.input, board, hybrid_opt);
-        ASSERT_TRUE(a.status.ok()) << "seed " << seed;
-        ASSERT_TRUE(b.status.ok()) << "seed " << seed;
-        ASSERT_TRUE(c.status.ok()) << "seed " << seed;
-        EXPECT_TRUE(a.verified);
-        EXPECT_TRUE(b.verified);
-        EXPECT_TRUE(c.verified);
-        EXPECT_EQ(a.engineBackend, "sparse");
-        EXPECT_EQ(b.engineBackend, "dense");
-        EXPECT_EQ(c.engineBackend, "hybrid");
-        expectSameRun(a, b);
-        expectSameRun(a, c);
-    }
-}
-
-TEST(EngineDiff, SequentialRunsAgreeAcrossBackends)
-{
-    const Workload w = diffWorkload(5);
-    PapOptions sparse_opt;
-    sparse_opt.engine = EngineKind::Sparse;
-    PapOptions dense_opt;
-    dense_opt.engine = EngineKind::Dense;
-    PapOptions hybrid_opt;
-    hybrid_opt.engine = EngineKind::Hybrid;
-    const SequentialResult a = runSequential(w.nfa, w.input, sparse_opt);
-    const SequentialResult b = runSequential(w.nfa, w.input, dense_opt);
-    const SequentialResult c = runSequential(w.nfa, w.input, hybrid_opt);
-    EXPECT_EQ(a.engineBackend, "sparse");
-    EXPECT_EQ(b.engineBackend, "dense");
-    EXPECT_EQ(c.engineBackend, "hybrid");
-    EXPECT_EQ(a.reports, b.reports);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.matches, b.matches);
-    EXPECT_EQ(a.reports, c.reports);
-    EXPECT_EQ(a.cycles, c.cycles);
-    EXPECT_EQ(a.matches, c.matches);
-    // The sparse oracle measures the feedback signal Auto uses.
-    EXPECT_GT(a.activeDensity, 0.0);
-}
-
-TEST(EngineDiff, CheckpointFilesAreByteIdenticalAcrossBackends)
-{
-    const Workload w = diffWorkload(44);
-    const ApConfig board = smallBoard(8);
-    const auto checkpoint_bytes = [&](EngineKind kind) {
-        const std::string path = ::testing::TempDir() +
-                                 "papsim_engine_diff_" +
-                                 engineKindName(kind) + ".ckpt";
-        exec::removeCheckpoint(path);
-        PapOptions opt;
-        opt.engine = kind;
-        opt.checkpointPath = path;
-        opt.stopAfterSegment = 1;
-        const PapResult dead = runPap(w.nfa, w.input, board, opt);
-        EXPECT_EQ(dead.status.code(), ErrorCode::Cancelled);
-        std::ifstream in(path, std::ios::binary);
-        EXPECT_TRUE(in.good());
-        std::ostringstream bytes;
-        bytes << in.rdbuf();
-        exec::removeCheckpoint(path);
-        return bytes.str();
-    };
-    const std::string sparse_ckpt = checkpoint_bytes(EngineKind::Sparse);
-    const std::string dense_ckpt = checkpoint_bytes(EngineKind::Dense);
-    const std::string hybrid_ckpt = checkpoint_bytes(EngineKind::Hybrid);
-    ASSERT_FALSE(sparse_ckpt.empty());
-    EXPECT_EQ(sparse_ckpt, dense_ckpt);
-    EXPECT_EQ(sparse_ckpt, hybrid_ckpt);
-}
-
-// --- Backend selection ----------------------------------------------
-
-TEST(EngineSelect, ParseEngineKind)
-{
-    EXPECT_EQ(parseEngineKind("sparse").value(), EngineKind::Sparse);
-    EXPECT_EQ(parseEngineKind("dense").value(), EngineKind::Dense);
-    EXPECT_EQ(parseEngineKind("hybrid").value(), EngineKind::Hybrid);
-    EXPECT_EQ(parseEngineKind("auto").value(), EngineKind::Auto);
-    const Result<EngineKind> bad = parseEngineKind("bogus");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidInput);
-}
-
-TEST(EngineSelect, EngineKindNames)
-{
-    EXPECT_STREQ(engineKindName(EngineKind::Sparse), "sparse");
-    EXPECT_STREQ(engineKindName(EngineKind::Dense), "dense");
-    EXPECT_STREQ(engineKindName(EngineKind::Hybrid), "hybrid");
-    EXPECT_STREQ(engineKindName(EngineKind::Auto), "auto");
-}
-
-TEST(EngineSelect, ResolveHonorsExplicitRequestAndThreshold)
-{
-    ::unsetenv("PAP_ENGINE");
-    // Explicit requests ignore the heuristic entirely.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Sparse, 1).value(),
-              EngineKind::Sparse);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Dense, 1u << 20).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Hybrid, 1).value(),
-              EngineKind::Hybrid);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Hybrid, 1u << 20).value(),
-              EngineKind::Hybrid);
-    // Auto: dense up to the size threshold, hybrid beyond it — the
-    // tile-skipping datapath replaces the old fall-back-to-sparse
-    // cliff at 16K+ states.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto,
-                                kDenseAutoMaxStates).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto,
-                                kDenseAutoMaxStates + 1).value(),
-              EngineKind::Hybrid);
-}
-
-TEST(EngineSelect, ResolveConsultsMeasuredDensity)
-{
-    ::unsetenv("PAP_ENGINE");
-    // Small automata stay dense only when the measured active density
-    // clears the threshold; sparse activity routes them to hybrid.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, kDenseAutoMaxStates,
-                                kDenseAutoMinDensity).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, kDenseAutoMaxStates,
-                                0.9).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, kDenseAutoMaxStates,
-                                0.09).value(),
-              EngineKind::Hybrid);
-    // No measurement (negative hint) keeps the size-only behavior.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, kDenseAutoMaxStates,
-                                -1.0).value(),
-              EngineKind::Dense);
-    // Beyond the size threshold density cannot rescue dense.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto,
-                                kDenseAutoMaxStates + 1, 0.9).value(),
-              EngineKind::Hybrid);
-    // Explicit requests ignore density like they ignore size.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Dense, 64, 0.0).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Sparse, 64, 0.9).value(),
-              EngineKind::Sparse);
-}
-
-TEST(EngineSelect, ResolveConsultsEnvironmentOnlyForAuto)
-{
-    ::setenv("PAP_ENGINE", "sparse", 1);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, 4).value(),
-              EngineKind::Sparse);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Dense, 4).value(),
-              EngineKind::Dense);
-    ::setenv("PAP_ENGINE", "dense", 1);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, 1u << 20).value(),
-              EngineKind::Dense);
-    ::unsetenv("PAP_ENGINE");
-}
-
-TEST(EngineSelect, InvalidEnvironmentIsATypedError)
-{
-    // An invalid PAP_ENGINE value fails exactly like an invalid
-    // --engine flag: a typed InvalidInput error, never a silent
-    // fallback to the threshold (and never for explicit requests,
-    // which don't consult the environment at all).
-    ::setenv("PAP_ENGINE", "wat", 1);
-    const Result<EngineKind> bad = resolveEngineKind(EngineKind::Auto, 4);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidInput);
-    EXPECT_NE(bad.status().message().find("PAP_ENGINE"),
-              std::string::npos);
-    EXPECT_NE(bad.status().message().find("wat"), std::string::npos);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Sparse, 4).value(),
-              EngineKind::Sparse);
-    ::unsetenv("PAP_ENGINE");
-}
-
-TEST(EngineSelect, ContextCarriesSelectionErrorAndStaysUsable)
-{
-    const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
-    const CompiledNfa cnfa(nfa);
-    ::setenv("PAP_ENGINE", "bogus", 1);
-    const EngineContext ctx(cnfa, EngineKind::Auto);
-    EXPECT_FALSE(ctx.status().ok());
-    EXPECT_EQ(ctx.status().code(), ErrorCode::InvalidInput);
-    // The context itself stays constructed on the sparse fallback so
-    // callers can decide how to surface the error.
-    EXPECT_FALSE(ctx.dense());
-    EXPECT_STREQ(ctx.backendName(), "sparse");
-    ::unsetenv("PAP_ENGINE");
-    const EngineContext good(cnfa, EngineKind::Auto);
-    EXPECT_TRUE(good.status().ok());
-}
-
-TEST(EngineSelect, RunnersFailTypedOnInvalidEnvironment)
-{
-    const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
-    const InputTrace input(
-        std::vector<Symbol>(64, static_cast<Symbol>('a')));
-    ::setenv("PAP_ENGINE", "nope", 1);
-    const SequentialResult seq = runSequential(nfa, input);
-    EXPECT_FALSE(seq.status.ok());
-    EXPECT_EQ(seq.status.code(), ErrorCode::InvalidInput);
-    EXPECT_TRUE(seq.reports.empty());
-    const PapResult par =
-        runPap(nfa, input, ApConfig::d480(1), PapOptions{});
-    EXPECT_FALSE(par.status.ok());
-    EXPECT_EQ(par.status.code(), ErrorCode::InvalidInput);
-    ::unsetenv("PAP_ENGINE");
-}
-
-TEST(EngineSelect, ContextReportsSelectedBackend)
-{
-    const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
-    const CompiledNfa cnfa(nfa);
-    ::unsetenv("PAP_ENGINE");
-    const EngineContext sparse(cnfa, EngineKind::Sparse);
-    EXPECT_FALSE(sparse.dense());
-    EXPECT_STREQ(sparse.backendName(), "sparse");
-    EXPECT_EQ(sparse.denseNfa(), nullptr);
-    const EngineContext dense(cnfa, EngineKind::Dense);
-    EXPECT_TRUE(dense.dense());
-    EXPECT_STREQ(dense.backendName(), "dense");
-    ASSERT_NE(dense.denseNfa(), nullptr);
-    EXPECT_EQ(dense.denseNfa()->size(), cnfa.size());
-    const EngineContext hybrid(cnfa, EngineKind::Hybrid);
-    EXPECT_EQ(hybrid.kind(), EngineKind::Hybrid);
-    EXPECT_STREQ(hybrid.backendName(), "hybrid");
-    ASSERT_NE(hybrid.denseNfa(), nullptr);
-    // The datapath tag is the backend name plus the dispatched SIMD
-    // level ("hybrid+avx2"), or the bare name on a scalar host.
-    const std::string tag = hybrid.datapathName();
-    if (hybrid.simdLevel() == SimdLevel::Scalar)
-        EXPECT_EQ(tag, "hybrid");
-    else
-        EXPECT_EQ(tag, std::string("hybrid+") +
-                           simdLevelName(hybrid.simdLevel()));
-    EXPECT_EQ(std::string(sparse.datapathName()), "sparse");
-}
-
-// --- SIMD dispatch selection ----------------------------------------
-
-TEST(SimdSelect, ParseSimdLevel)
-{
-    EXPECT_EQ(parseSimdLevel("off").value(), SimdLevel::Scalar);
-    EXPECT_EQ(parseSimdLevel("scalar").value(), SimdLevel::Scalar);
-    EXPECT_EQ(parseSimdLevel("avx2").value(), SimdLevel::Avx2);
-    EXPECT_EQ(parseSimdLevel("avx512").value(), SimdLevel::Avx512);
-    EXPECT_EQ(parseSimdLevel("auto").value(), detectSimdLevel());
-    const Result<SimdLevel> bad = parseSimdLevel("sse9");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidInput);
-}
-
-TEST(SimdSelect, SimdLevelNames)
-{
-    EXPECT_STREQ(simdLevelName(SimdLevel::Scalar), "scalar");
-    EXPECT_STREQ(simdLevelName(SimdLevel::Avx2), "avx2");
-    EXPECT_STREQ(simdLevelName(SimdLevel::Avx512), "avx512");
-}
-
-TEST(SimdSelect, ResolveHonorsEnvironmentAndClampsToHost)
-{
-    ::setenv("PAP_SIMD", "off", 1);
-    EXPECT_EQ(resolveSimdLevel().value(), SimdLevel::Scalar);
-    // A pinned level the host cannot execute clamps DOWN to the probe
-    // instead of failing, so CI matrix entries stay portable.
-    ::setenv("PAP_SIMD", "avx512", 1);
-    EXPECT_LE(resolveSimdLevel().value(), detectSimdLevel());
-    ::setenv("PAP_SIMD", "auto", 1);
-    EXPECT_EQ(resolveSimdLevel().value(), detectSimdLevel());
-    ::unsetenv("PAP_SIMD");
-    EXPECT_EQ(resolveSimdLevel().value(), detectSimdLevel());
-    EXPECT_EQ(currentSimdLevel(), detectSimdLevel());
-}
-
-TEST(SimdSelect, InvalidEnvironmentIsATypedError)
-{
-    ::setenv("PAP_SIMD", "bogus", 1);
-    const Result<SimdLevel> bad = resolveSimdLevel();
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidInput);
-    EXPECT_NE(bad.status().message().find("PAP_SIMD"),
-              std::string::npos);
-    // currentSimdLevel() collapses the error to the probe for callers
-    // without a status channel.
-    EXPECT_EQ(currentSimdLevel(), detectSimdLevel());
-    // The typed error reaches run drivers through EngineContext.
-    const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
-    const CompiledNfa cnfa(nfa);
-    const EngineContext ctx(cnfa, EngineKind::Dense);
-    EXPECT_FALSE(ctx.status().ok());
-    EXPECT_EQ(ctx.status().code(), ErrorCode::InvalidInput);
-    const InputTrace input(
-        std::vector<Symbol>(64, static_cast<Symbol>('a')));
-    const SequentialResult seq = runSequential(nfa, input);
-    EXPECT_FALSE(seq.status.ok());
-    EXPECT_EQ(seq.status.code(), ErrorCode::InvalidInput);
-    const PapResult par =
-        runPap(nfa, input, ApConfig::d480(1), PapOptions{});
-    EXPECT_FALSE(par.status.ok());
-    EXPECT_EQ(par.status.code(), ErrorCode::InvalidInput);
-    ::unsetenv("PAP_SIMD");
-}
-
-TEST(SimdSelect, ScalarPinDropsTheDatapathSuffix)
-{
-    const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
-    const CompiledNfa cnfa(nfa);
-    ::setenv("PAP_SIMD", "off", 1);
-    const EngineContext ctx(cnfa, EngineKind::Dense);
-    EXPECT_TRUE(ctx.status().ok());
-    EXPECT_EQ(ctx.simdLevel(), SimdLevel::Scalar);
-    EXPECT_EQ(std::string(ctx.datapathName()), "dense");
-    ::unsetenv("PAP_SIMD");
-}
-
 // --- Large automata: the 16K-state regime ---------------------------
 
 /**
- * A structured automaton big enough to cross the dense-auto size
- * threshold: chains of narrow single-letter states, a sprinkling of
- * always-on AllInput drivers that keep re-seeding activity, a rare
- * 'h' label that gives the partitioner a small boundary range, and
- * periodic reporting states. Activity stays sparse (a few hundred of
- * 16K+ states), which is exactly the regime the hybrid tile-skipping
- * datapath exists for.
+ * A structured 16K-state automaton: chains of narrow single-letter
+ * states, a sprinkling of always-on AllInput drivers that keep
+ * re-seeding activity, a rare 'h' label that gives the partitioner a
+ * small boundary range, and periodic reporting states. Activity stays
+ * sparse (a few hundred of 16K+ states), the regime of the large
+ * Table-1 rulesets.
  */
 Nfa
 largeSyntheticNfa(StateId states)
@@ -684,74 +306,51 @@ largeSyntheticNfa(StateId states)
     return nfa;
 }
 
-TEST(EngineDiffLarge, TrioAgreesAt16KStates)
+TEST(EngineDiffLarge, SparseMatchesReferenceAt16KStates)
 {
     const Nfa nfa = largeSyntheticNfa(16384);
+    const CompiledNfa cnfa(nfa);
     Rng rng(77);
     const InputTrace t = randomTextTrace(rng, 2048, "abcdefgh");
     for (const bool starts : {true, false}) {
-        EngineTrio p(nfa, starts);
         // Start mode seeds like a fresh run; enum mode (no start
         // fold) seeds the self-looping drivers plus a state spread,
         // like a flow plan would.
-        std::vector<StateId> seed = p.cnfa.initialActive();
+        std::vector<StateId> seed = cnfa.initialActive();
         if (!starts)
             for (StateId q = 0; q < nfa.size(); q += 128)
                 seed.push_back(q);
-        p.reset(seed);
-        for (std::uint64_t i = 0; i < t.size(); ++i) {
-            p.step(t.begin()[i]);
-            if (i % 64 == 0)
-                p.expectSameObservableState("16K mid-run");
-        }
-        p.expectSameObservableState("16K after run");
-        const auto expected = sortedReports(p.sparse.takeReports());
-        EXPECT_FALSE(expected.empty());
-        EXPECT_EQ(expected, sortedReports(p.dense.takeReports()));
-        EXPECT_EQ(expected, sortedReports(p.hybrid.takeReports()));
+        FunctionalEngine engine(cnfa, starts);
+        engine.reset(seed);
+        const Nfa ref_nfa = starts ? nfa : reseeded(nfa, seed, false);
+        EXPECT_FALSE(referenceRun(ref_nfa, t.symbols()).reports.empty());
+        expectMatchesReference(engine, ref_nfa, t, starts, 64,
+                               "16K starts " + std::to_string(starts));
     }
-}
-
-TEST(EngineDiffLarge, AutoResolvesToHybridAt16KStates)
-{
-    ::unsetenv("PAP_ENGINE");
-    const Nfa nfa = largeSyntheticNfa(16384);
-    const CompiledNfa cnfa(nfa);
-    const EngineContext ctx(cnfa, EngineKind::Auto);
-    ASSERT_TRUE(ctx.status().ok());
-    EXPECT_EQ(ctx.kind(), EngineKind::Hybrid);
 }
 
 TEST(EngineDiffLarge, PapRunsAreByteIdenticalAt16KStates)
 {
-    // The auto leg asserts the size heuristic, so a CI matrix entry
-    // pinning PAP_ENGINE must not override it here.
-    ::unsetenv("PAP_ENGINE");
+    // The composed reports equal the sequential oracle's, and the
+    // whole run is the same bytes on one host thread and on four.
     const Nfa nfa = largeSyntheticNfa(16384);
     Rng rng(88);
     const InputTrace input = randomTextTrace(rng, 16384, "abcdefgh");
     const ApConfig board = smallBoard(8);
-    PapOptions sparse_opt;
-    sparse_opt.engine = EngineKind::Sparse;
-    PapOptions hybrid_opt;
-    hybrid_opt.engine = EngineKind::Hybrid;
-    PapOptions auto_opt;
-    auto_opt.engine = EngineKind::Auto;
-    const PapResult a = runPap(nfa, input, board, sparse_opt);
-    const PapResult b = runPap(nfa, input, board, hybrid_opt);
-    const PapResult c = runPap(nfa, input, board, auto_opt);
+    PapOptions one_opt;
+    one_opt.threads = 1;
+    PapOptions four_opt;
+    four_opt.threads = 4;
+    const PapResult a = runPap(nfa, input, board, one_opt);
+    const PapResult b = runPap(nfa, input, board, four_opt);
     ASSERT_TRUE(a.status.ok());
     ASSERT_TRUE(b.status.ok());
-    ASSERT_TRUE(c.status.ok());
     EXPECT_TRUE(a.verified);
     EXPECT_TRUE(b.verified);
-    EXPECT_TRUE(c.verified);
-    EXPECT_EQ(a.engineBackend, "sparse");
-    EXPECT_EQ(b.engineBackend, "hybrid");
-    // Auto must pick hybrid above the size threshold.
-    EXPECT_EQ(c.engineBackend, "hybrid");
+    EXPECT_EQ(a.engineDatapath, "sparse");
+    EXPECT_GT(a.numSegments, 1u);
+    EXPECT_EQ(a.reports, runSequential(nfa, input).reports);
     expectSameRun(a, b);
-    expectSameRun(a, c);
     EXPECT_FALSE(a.reports.empty());
 }
 
@@ -761,18 +360,18 @@ TEST(EngineDiffLarge, PipelineOverlapIsByteIdenticalAt16KStates)
     Rng rng(91);
     const InputTrace input = randomTextTrace(rng, 16384, "abcdefgh");
     const ApConfig board = smallBoard(8);
-    PapOptions sparse_opt;
-    sparse_opt.engine = EngineKind::Sparse;
-    sparse_opt.pipeline = PipelineMode::Overlap;
-    PapOptions hybrid_opt;
-    hybrid_opt.engine = EngineKind::Hybrid;
-    hybrid_opt.pipeline = PipelineMode::Overlap;
-    const PapResult a = runPap(nfa, input, board, sparse_opt);
-    const PapResult b = runPap(nfa, input, board, hybrid_opt);
+    PapOptions barrier_opt;
+    barrier_opt.threads = 2;
+    barrier_opt.pipeline = PipelineMode::Barrier;
+    PapOptions overlap_opt = barrier_opt;
+    overlap_opt.pipeline = PipelineMode::Overlap;
+    const PapResult a = runPap(nfa, input, board, barrier_opt);
+    const PapResult b = runPap(nfa, input, board, overlap_opt);
     ASSERT_TRUE(a.status.ok());
     ASSERT_TRUE(b.status.ok());
     EXPECT_TRUE(a.verified);
     EXPECT_TRUE(b.verified);
+    EXPECT_EQ(b.pipelineMode, "overlap");
     expectSameRun(a, b);
 }
 
@@ -782,31 +381,34 @@ TEST(EngineDiffLarge, CheckpointResumeIsByteIdenticalAt16KStates)
     Rng rng(93);
     const InputTrace input = randomTextTrace(rng, 16384, "abcdefgh");
     const ApConfig board = smallBoard(8);
-    const auto run_with_stop = [&](EngineKind kind) {
-        const std::string path = ::testing::TempDir() +
-                                 "papsim_engine_diff_16k_" +
-                                 engineKindName(kind) + ".ckpt";
-        exec::removeCheckpoint(path);
-        PapOptions opt;
-        opt.engine = kind;
-        opt.checkpointPath = path;
-        opt.stopAfterSegment = 1;
-        const PapResult dead = runPap(nfa, input, board, opt);
-        EXPECT_EQ(dead.status.code(), ErrorCode::Cancelled);
-        // Resume from the checkpoint and run to completion.
-        opt.stopAfterSegment = -1;
-        const PapResult done = runPap(nfa, input, board, opt);
-        EXPECT_TRUE(done.status.ok());
-        exec::removeCheckpoint(path);
-        return done;
-    };
-    const PapResult a = run_with_stop(EngineKind::Sparse);
-    const PapResult b = run_with_stop(EngineKind::Hybrid);
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    EXPECT_TRUE(a.verified);
-    EXPECT_TRUE(b.verified);
-    expectSameRun(a, b);
+    const PapResult whole = runPap(nfa, input, board, PapOptions{});
+    ASSERT_TRUE(whole.status.ok());
+
+    const std::string path = uniqueTempPath("engine_diff_16k") + ".ckpt";
+    exec::removeCheckpoint(path);
+    PapOptions opt;
+    opt.checkpointPath = path;
+    opt.stopAfterSegment = 1;
+    const PapResult dead = runPap(nfa, input, board, opt);
+    EXPECT_EQ(dead.status.code(), ErrorCode::Cancelled);
+    // Resume from the checkpoint and run to completion.
+    opt.stopAfterSegment = -1;
+    const PapResult resumed = runPap(nfa, input, board, opt);
+    exec::removeCheckpoint(path);
+    ASSERT_TRUE(resumed.status.ok());
+    EXPECT_TRUE(resumed.resumedFromCheckpoint);
+    EXPECT_TRUE(whole.verified);
+    EXPECT_TRUE(resumed.verified);
+    expectSameRun(whole, resumed);
+}
+
+// --- Host probe -------------------------------------------------------
+
+TEST(SimdSelect, SimdLevelNames)
+{
+    EXPECT_STREQ(simdLevelName(SimdLevel::Scalar), "scalar");
+    EXPECT_STREQ(simdLevelName(SimdLevel::Avx2), "avx2");
+    EXPECT_STREQ(simdLevelName(SimdLevel::Avx512), "avx512");
 }
 
 } // namespace

@@ -239,7 +239,7 @@ class CheckpointResume : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "papsim_resume_test.ckpt";
+        path_ = uniqueTempPath("resume") + ".ckpt";
         exec::removeCheckpoint(path_);
     }
     void

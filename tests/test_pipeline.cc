@@ -87,42 +87,37 @@ expectSameRun(const PapResult &a, const PapResult &b)
     }
 }
 
-// --- Clean runs: modes x threads x engines ---------------------------
+// --- Clean runs: modes x threads (the sparse engine is the only one) --
 
 TEST(PipelineIdentity, CleanRunsMatchAcrossModesThreadsAndEngines)
 {
     const Workload w = pipelineWorkload();
     const ApConfig board = smallBoard(8);
-    for (const EngineKind engine :
-         {EngineKind::Sparse, EngineKind::Dense}) {
-        PapOptions ref_opt;
-        ref_opt.engine = engine;
-        ref_opt.threads = 1;
-        ref_opt.pipeline = PipelineMode::Barrier;
-        const PapResult ref = runPap(w.nfa, w.input, board, ref_opt);
-        ASSERT_TRUE(ref.status.ok());
-        ASSERT_TRUE(ref.verified);
-        EXPECT_EQ(ref.pipelineMode, "barrier");
-        for (const std::uint32_t threads : {1u, 2u, 8u}) {
-            PapOptions opt;
-            opt.engine = engine;
-            opt.threads = threads;
-            opt.pipeline = PipelineMode::Overlap;
-            const PapResult r = runPap(w.nfa, w.input, board, opt);
-            ASSERT_TRUE(r.status.ok());
-            EXPECT_EQ(r.pipelineMode, "overlap");
-            EXPECT_GT(r.pipelineWallMs, 0.0);
-            EXPECT_GE(r.pipelineOccupancy, 0.0);
-            EXPECT_LE(r.pipelineOccupancy, 1.0);
-            expectSameRun(ref, r);
-            // ...and the barrier schedule at the same thread count
-            // produces the same bytes too.
-            PapOptions bar = opt;
-            bar.pipeline = PipelineMode::Barrier;
-            const PapResult b = runPap(w.nfa, w.input, board, bar);
-            ASSERT_TRUE(b.status.ok());
-            expectSameRun(ref, b);
-        }
+    PapOptions ref_opt;
+    ref_opt.threads = 1;
+    ref_opt.pipeline = PipelineMode::Barrier;
+    const PapResult ref = runPap(w.nfa, w.input, board, ref_opt);
+    ASSERT_TRUE(ref.status.ok());
+    ASSERT_TRUE(ref.verified);
+    EXPECT_EQ(ref.pipelineMode, "barrier");
+    for (const std::uint32_t threads : {1u, 2u, 8u}) {
+        PapOptions opt;
+        opt.threads = threads;
+        opt.pipeline = PipelineMode::Overlap;
+        const PapResult r = runPap(w.nfa, w.input, board, opt);
+        ASSERT_TRUE(r.status.ok());
+        EXPECT_EQ(r.pipelineMode, "overlap");
+        EXPECT_GT(r.pipelineWallMs, 0.0);
+        EXPECT_GE(r.pipelineOccupancy, 0.0);
+        EXPECT_LE(r.pipelineOccupancy, 1.0);
+        expectSameRun(ref, r);
+        // ...and the barrier schedule at the same thread count
+        // produces the same bytes too.
+        PapOptions bar = opt;
+        bar.pipeline = PipelineMode::Barrier;
+        const PapResult b = runPap(w.nfa, w.input, board, bar);
+        ASSERT_TRUE(b.status.ok());
+        expectSameRun(ref, b);
     }
 }
 
@@ -211,7 +206,7 @@ class PipelineCheckpoint : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "papsim_pipeline_test.ckpt";
+        path_ = uniqueTempPath("pipeline") + ".ckpt";
         exec::removeCheckpoint(path_);
     }
     void

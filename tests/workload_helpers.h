@@ -1,11 +1,16 @@
 /**
  * @file
- * Shared helpers for tests: random automata and random traces.
+ * Shared helpers for tests: random automata, random traces, and
+ * per-test temp paths.
  */
 
 #ifndef PAP_TESTS_WORKLOAD_HELPERS_H
 #define PAP_TESTS_WORKLOAD_HELPERS_H
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,6 +20,24 @@
 #include "nfa/nfa.h"
 
 namespace pap {
+
+/**
+ * A path under the gtest temp dir unique to the running test and
+ * process: ctest -j runs every test case as its own process, so two
+ * cases sharing a fixed file name would overwrite each other's file.
+ */
+inline std::string
+uniqueTempPath(const std::string &stem)
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string test = std::string(info->test_suite_name()) + "." +
+                       info->name();
+    // Parameterized names carry '/'.
+    std::replace(test.begin(), test.end(), '/', '_');
+    return ::testing::TempDir() + "papsim_" + stem + "_" + test + "_" +
+           std::to_string(::getpid());
+}
 
 /** A trace of random symbols drawn from @p alphabet. */
 inline InputTrace

@@ -38,11 +38,13 @@
  *       Poke a running daemon.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,7 +88,6 @@ usage()
         "           [--quantum=N] [--spec[=WINDOW]] [--max-reports=N]\n"
         "           [--verbose] [--metrics-json=PATH]\n"
         "           [--trace-out=PATH] [--profile] [--attrib[=json]]\n"
-        "           [--engine=sparse|dense|hybrid|auto]\n"
         "           [--pipeline=barrier|overlap|auto]\n"
         "           [--overflow=batch|sequential|fail|evict]\n"
         "           [--svc-policy=lru|fifo|cost] [--svc-capacity=N]\n"
@@ -96,11 +97,7 @@ usage()
         "           [--inject-faults=SPEC] [--fault-seed=N]\n"
         "           --threads=0 uses one thread per hardware thread;\n"
         "           PAP_THREADS sets the default when the flag is\n"
-        "           absent. --engine picks the execution backend\n"
-        "           (default auto: PAP_ENGINE, then a size/density\n"
-        "           heuristic); results are identical either way.\n"
-        "           PAP_SIMD=off|scalar|avx2|avx512|auto pins the\n"
-        "           vector width of the word-packed backends.\n"
+        "           absent.\n"
         "           --pipeline schedules host execution vs\n"
         "           composition (default auto: PAP_PIPELINE, then\n"
         "           barrier); reports are identical either way.\n"
@@ -116,9 +113,7 @@ usage()
         "           [--max-sessions=N] [--tenant-cap=N] [--window=N]\n"
         "           [--chunk=N] [--lookback=N] [--quarantine-after=N]\n"
         "           [--session-deadline-ms=X] [--checkpoint-dir=DIR]\n"
-        "           [--checkpoint-interval=N]\n"
-        "           [--engine=sparse|dense|hybrid|auto]\n"
-        "           [--deadline-ms=X]\n"
+        "           [--checkpoint-interval=N] [--deadline-ms=X]\n"
         "           [--max-retries=N] [--inject-faults=SPEC]\n"
         "           [--fault-seed=N] [--metrics-json=PATH]\n"
         "           serve-mode SPEC adds the stream fault kinds\n"
@@ -132,7 +127,8 @@ usage()
         "           --checkpoint-interval overrides the daemon's\n"
         "           periodic-checkpoint cadence for this stream\n"
         "  ctl      <socket> ping|stats|drain|swap <nfa>|\n"
-        "           weight <tenant> <w>\n");
+        "           weight <tenant> <w>\n"
+        "Every command rejects flags it does not list (exit 2).\n");
     return 2;
 }
 
@@ -466,17 +462,6 @@ cmdRun(const std::vector<std::string> &args)
         !parseU64(v, &max_reports))
         return fail("--max-reports needs an integer, got '" + v + "'");
 
-    // Execution backend: an explicit flag is validated here with a
-    // typed error; the auto default defers to PAP_ENGINE and the
-    // state-count threshold inside resolveEngineKind.
-    EngineKind engine = EngineKind::Auto;
-    if (flagValue(args, "--engine", &v)) {
-        const Result<EngineKind> parsed = parseEngineKind(v);
-        if (!parsed.ok())
-            return fail(parsed.status().toString());
-        engine = parsed.value();
-    }
-
     // Execution/composition scheduling: an explicit flag is validated
     // here; the auto default defers to PAP_PIPELINE inside
     // resolvePipelineMode.
@@ -505,20 +490,15 @@ cmdRun(const std::vector<std::string> &args)
 
     std::vector<ReportEvent> reports;
     if (flagValue(args, "--sequential", &v)) {
-        PapOptions opt;
-        opt.engine = engine;
-        const SequentialResult r = runSequential(nfa, trace, opt);
-        if (!r.status.ok())
-            return fail(r.status.toString());
-        std::printf("sequential[%s]: %zu matches, %llu cycles "
+        const SequentialResult r = runSequential(nfa, trace);
+        std::printf("sequential: %zu matches, %llu cycles "
                     "(%.3f ms on AP)\n",
-                    r.engineDatapath.c_str(), r.reports.size(),
+                    r.reports.size(),
                     static_cast<unsigned long long>(r.cycles),
                     static_cast<double>(r.cycles) * 7.5e-6);
         reports = r.reports;
     } else if (flagValue(args, "--spec", &v)) {
         SpeculationOptions opt;
-        opt.engine = engine;
         opt.threads = threads;
         opt.pipeline = pipeline;
         if (!v.empty() && !parseU32(v, &opt.warmupWindow))
@@ -528,16 +508,15 @@ cmdRun(const std::vector<std::string> &args)
             runSpeculative(nfa, trace, ApConfig::d480(ranks), opt);
         if (!r.status.ok())
             return fail(r.status.toString());
-        std::printf("speculative[%s]: %zu matches, %u segments, "
+        std::printf("speculative: %zu matches, %u segments, "
                     "accuracy %.2f, speedup %.2fx%s\n",
-                    r.engineDatapath.c_str(), r.reports.size(),
+                    r.reports.size(),
                     r.numSegments, r.accuracy, r.speedup,
                     r.verified ? " (verified)"
                                : (r.recovered ? " (recovered)" : ""));
         reports = r.reports;
     } else {
         PapOptions opt;
-        opt.engine = engine;
         opt.threads = threads;
         opt.pipeline = pipeline;
         if (flagValue(args, "--quantum", &v) &&
@@ -628,10 +607,10 @@ cmdRun(const std::vector<std::string> &args)
                                ? " (verified)"
                                : (r.recovered ? " (recovered)" : "");
         std::printf(
-            "PAP[%s]: %zu matches, %u segments (ideal %ux), speedup "
+            "PAP: %zu matches, %u segments (ideal %ux), speedup "
             "%.2fx%s%s\n  flows range/cc/parent/active = "
             "%.0f/%.0f/%.0f/%.1f, switch %.2f%%, inflation %.1fx\n",
-            r.engineDatapath.c_str(), r.reports.size(), r.numSegments,
+            r.reports.size(), r.numSegments,
             r.idealSpeedup, r.speedup, mark,
             r.degraded ? " [degraded]" : "", r.flowsInRange,
             r.flowsAfterCc, r.flowsAfterParent, r.avgActiveFlows,
@@ -792,12 +771,6 @@ cmdServe(const std::vector<std::string> &args)
         !parseU32(v, &opt.checkpointIntervalChunks))
         return fail("--checkpoint-interval needs an integer, got '" +
                     v + "'");
-    if (flagValue(args, "--engine", &v)) {
-        const Result<EngineKind> parsed = parseEngineKind(v);
-        if (!parsed.ok())
-            return fail(parsed.status().toString());
-        opt.pap.engine = parsed.value();
-    }
     if (flagValue(args, "--deadline-ms", &v) &&
         !parseF64(v, &opt.pap.segmentDeadlineMs))
         return fail("--deadline-ms needs a number, got '" + v + "'");
@@ -945,6 +918,47 @@ cmdCtl(const std::vector<std::string> &args)
     return 0;
 }
 
+/** The flags each command accepts, by name (without any "=value"). */
+const std::map<std::string, std::vector<std::string>> kCommandFlags = {
+    {"compile", {"--anchored", "--prefix-merge"}},
+    {"analyze", {}},
+    {"gentrace", {"--pm", "--seed", "--alphabet"}},
+    {"run",
+     {"--ranks", "--sequential", "--quantum", "--spec", "--max-reports",
+      "--verbose", "--metrics-json", "--trace-out", "--profile",
+      "--attrib", "--pipeline", "--overflow", "--svc-policy",
+      "--svc-capacity", "--threads", "--checkpoint", "--deadline-ms",
+      "--max-retries", "--stop-after-segment", "--inject-faults",
+      "--fault-seed"}},
+    {"convert", {}},
+    {"bench", {}},
+    {"serve",
+     {"--socket", "--threads", "--max-sessions", "--tenant-cap",
+      "--window", "--chunk", "--lookback", "--quarantine-after",
+      "--session-deadline-ms", "--checkpoint-dir",
+      "--checkpoint-interval", "--deadline-ms", "--max-retries",
+      "--inject-faults", "--fault-seed", "--metrics-json"}},
+    {"stream",
+     {"--key", "--resume", "--checkpoint-interval", "--max-reports"}},
+    {"ctl", {}},
+};
+
+/** Typed InvalidInput for the first "--flag" @p known does not list. */
+Status
+checkFlags(const std::string &cmd, const std::vector<std::string> &known,
+           const std::vector<std::string> &args)
+{
+    for (const auto &a : args) {
+        if (a.rfind("--", 0) != 0)
+            continue;
+        const std::string name = a.substr(0, a.find('='));
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            return Status::error(ErrorCode::InvalidInput, "unknown flag '",
+                                 name, "' for '", cmd, "'");
+    }
+    return Status();
+}
+
 } // namespace
 
 int
@@ -955,6 +969,13 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     std::vector<std::string> args(argv + 2, argv + argc);
+    const auto flags = kCommandFlags.find(cmd);
+    if (flags == kCommandFlags.end())
+        return usage();
+    if (const Status st = checkFlags(cmd, flags->second, args); !st.ok()) {
+        fail(st.toString());
+        return 2;
+    }
     if (cmd == "compile")
         return cmdCompile(args);
     if (cmd == "analyze")
