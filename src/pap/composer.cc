@@ -192,4 +192,37 @@ composeEnum(const CompiledNfa &cnfa, const Components &comps,
     return truth;
 }
 
+exec::SegmentCheckpoint
+recordSegment(const SegmentRun &run, const SegmentTruth &truth,
+              bool has_enum_flows, bool recovered, std::uint32_t batches,
+              Cycles batch_reload_cycles)
+{
+    exec::SegmentCheckpoint cp;
+    SegmentTimingInput &t = cp.timing;
+    t.segLen = run.segLen;
+    t.totalEntries = truth.totalEntries;
+    t.aliveEnumFlowsAtEnd = truth.aliveEnumFlowsAtEnd;
+    t.hasEnumFlows = has_enum_flows;
+    t.numBatches = batches;
+    t.batchReloadCycles = batch_reload_cycles;
+    for (const FlowRecord &rec : run.flows) {
+        FlowTimingInfo info;
+        info.kind = rec.kind;
+        info.symbolsProcessed = rec.symbolsProcessed;
+        info.batch = rec.batch;
+        info.isTrue = rec.kind != FlowKind::Enum ||
+                      (rec.id < truth.flowTrue.size() &&
+                       truth.flowTrue[rec.id] != 0);
+        t.flows.push_back(info);
+    }
+    const FlowOutcomes outcomes = countFlowOutcomes(run);
+    cp.deactivated = outcomes.deactivated;
+    cp.converged = outcomes.converged;
+    cp.ranToEnd = outcomes.ranToEnd;
+    for (const auto path_true : truth.pathTrue)
+        cp.truePaths += path_true;
+    cp.recovered = recovered;
+    return cp;
+}
+
 } // namespace pap

@@ -19,6 +19,7 @@
 
 #include "engine/compiled_nfa.h"
 #include "nfa/analysis.h"
+#include "pap/exec/checkpoint.h"
 #include "pap/flow_plan.h"
 #include "pap/segment_sim.h"
 
@@ -54,6 +55,22 @@ SegmentTruth composeGolden(const SegmentRun &run);
 SegmentTruth composeEnum(const CompiledNfa &cnfa, const Components &comps,
                          const FlowPlan &plan, const SegmentRun &run,
                          const std::vector<StateId> &prev_true);
+
+/**
+ * The record every driver keeps of a composed segment: its timing-model
+ * input (flows, entries, batches) and its flow-outcome census, in the
+ * form a checkpoint stores. @p has_enum_flows says whether the segment
+ * ran enumeration flows the timeline must decode; @p recovered marks a
+ * segment the oracle computed; @p batches is the SVC batch count and
+ * @p batch_reload_cycles the state-vector upload cost between batches.
+ * The live-cache fields (svcEvict, svcCapacity, svcPolicy) are left
+ * for the caller, which knows the run's policy.
+ */
+exec::SegmentCheckpoint recordSegment(const SegmentRun &run,
+                                      const SegmentTruth &truth,
+                                      bool has_enum_flows, bool recovered,
+                                      std::uint32_t batches,
+                                      Cycles batch_reload_cycles);
 
 } // namespace pap
 

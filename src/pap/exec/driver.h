@@ -1,9 +1,9 @@
 /**
  * @file
- * Hardened work-pool execution driver: the engine under runPap,
- * runSpeculative, and runMultiStream. runHardened() fans a batch of
- * independent index-addressed tasks out over a WorkerPool and wraps
- * every attempt in three resilience layers:
+ * The hardened attempt ladder under every driver: runPap,
+ * runSpeculative and runMultiStream reach it through SegmentPipeline,
+ * and the serve layer calls it once per chunk. runAttempts() wraps a
+ * task in three resilience layers:
  *
  *  1. a Watchdog deadline — a stalled attempt is cancelled through its
  *     CancellationToken and surfaces as ErrorCode::DeadlineExceeded;
@@ -14,11 +14,14 @@
  *     reports its terminal Status so the caller can fall back to the
  *     sequential oracle for just that piece of work.
  *
+ * Injected worker faults (stall, crash) strike here too, keyed by the
+ * caller's fault coordinate, and are marked detected when the attempt
+ * fails and recovered when a retry succeeds.
+ *
  * Determinism contract: tasks must write only to their own preallocated
- * output slot. The driver imposes no ordering between tasks, so every
- * cross-task reduction belongs in the caller, run in index order after
- * runHardened returns — that is what keeps reports and per-figure
- * metrics byte-identical for any thread count.
+ * output slot; every cross-task reduction belongs in the caller, run in
+ * index order — that is what keeps reports and per-figure metrics
+ * byte-identical for any thread count.
  */
 
 #ifndef PAP_PAP_EXEC_DRIVER_H
@@ -27,16 +30,21 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <memory>
 
 #include "common/error.h"
 #include "pap/exec/cancellation.h"
+#include "pap/exec/watchdog.h"
 #include "pap/fault_injector.h"
 
 namespace pap {
+namespace obs {
+class AttribLedger;
+} // namespace obs
+
 namespace exec {
 
-/** Tuning for one runHardened batch. */
+/** Tuning for the attempt ladder and the pool around it. */
 struct HardenedExecOptions
 {
     /** Pool width; pass through WorkerPool::resolveThreads first. */
@@ -84,29 +92,52 @@ using TaskFn =
     std::function<Status(std::size_t index,
                          const CancellationToken &cancel)>;
 
+/** One attempt of a task, polling @p cancel cooperatively. */
+using AttemptFn = std::function<Status(const CancellationToken &cancel)>;
+
+/**
+ * How a scheduler stops a ladder from outside. Both hooks are
+ * optional.
+ */
+struct AttemptHooks
+{
+    /** Polled before each attempt and each retry; true ends the ladder. */
+    std::function<bool()> stopped;
+    /**
+     * Receives each attempt's token as it starts (so the scheduler can
+     * cancel it) and nullptr once the attempt has ended.
+     */
+    std::function<void(const std::shared_ptr<CancellationToken> &)> track;
+};
+
 /**
  * The backoff delay before retry @p retry (0-based) of task @p index:
  * base * 2^retry capped at backoffCapMs — and, with jitter enabled,
  * half that plus a draw from a pure hash of (backoffJitterSeed, index,
  * retry). A pure function of its arguments: the same tuple sleeps the
  * same amount for every thread count and scheduling order, and the
- * jittered delay never exceeds the deterministic one. Shared by the
- * segment pipeline and the serve layer's chunk retry ladder.
+ * jittered delay never exceeds the deterministic one.
  */
 std::chrono::milliseconds retryBackoff(const HardenedExecOptions &options,
                                        std::size_t index,
                                        std::uint32_t retry);
 
 /**
- * Run tasks [0, count) on a hardened pool and block until every task
- * has either succeeded or exhausted its retries. reports[i] describes
- * task i; the order of the returned vector is index order regardless
- * of scheduling. Safe to call with threads == 1 (the pool still runs
- * tasks on a worker thread so the watchdog can cancel them).
+ * Run @p fn through the attempt ladder and return its report. Each
+ * attempt gets a fresh token, armed on @p watchdog when
+ * options.deadlineMs > 0. The injector picks worker faults by
+ * @p fault_coord; retry sleeps draw their jitter from @p jitter_index
+ * and are charged to @p attrib's aux bucket "workers.retry_backoff"
+ * when a ledger is given. A thrown exception is an attempt that
+ * crashed (ErrorCode::HardwareFault). Only a failed attempt is ever
+ * retried. Records exec.pool.tasks, exec.task.attempts,
+ * exec.retry.attempts and exec.tasks.failed.
  */
-std::vector<TaskReport> runHardened(const HardenedExecOptions &options,
-                                    std::size_t count,
-                                    const TaskFn &fn);
+TaskReport runAttempts(const HardenedExecOptions &options,
+                       Watchdog &watchdog, std::uint64_t fault_coord,
+                       std::size_t jitter_index, const AttemptFn &fn,
+                       obs::AttribLedger *attrib = nullptr,
+                       const AttemptHooks &hooks = {});
 
 } // namespace exec
 } // namespace pap

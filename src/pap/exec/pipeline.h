@@ -2,17 +2,16 @@
  * @file
  * Dependency-aware segment pipeline: the scheduler under the PAP run
  * drivers. A SegmentPipeline fans index-addressed tasks out over a
- * WorkerPool with the same hardening as runHardened (watchdog,
- * capped-exponential retry, fault-injection hooks, structured
- * TaskReport per task) but hands results to the caller one index at a
- * time through await(), so a composer stage can consume segment i
- * while segments > i still execute.
+ * WorkerPool, runs each through the attempt ladder (exec::runAttempts:
+ * watchdog, capped-exponential retry, fault-injection hooks,
+ * structured TaskReport per task) and hands results to the caller one
+ * index at a time through await(), so a composer stage can consume
+ * segment i while segments > i still execute.
  *
  * Two scheduling modes share this one implementation:
  *
  *  - barrier: every task is submitted and run to completion inside
- *    the constructor; await() never blocks. This is byte-for-byte the
- *    historical runHardened behavior.
+ *    the constructor; await() never blocks.
  *  - overlap: tasks are admitted through a bounded handoff window
  *    ahead of the composition frontier; await(i) blocks until task i
  *    finishes (the composer stall this pipeline exists to shrink) and
@@ -23,7 +22,7 @@
  * per-figure metrics are byte-identical between modes for any thread
  * count — only wall-clock differs.
  *
- * Determinism contract (inherited from the driver): tasks write only
+ * Determinism contract (the ladder's): tasks write only
  * to their own output slot; every cross-task reduction belongs in the
  * caller, folded in index order as await() returns.
  *
@@ -107,9 +106,6 @@ class SegmentPipeline
      */
     void cancelRemaining();
 
-    /** Number of tasks this pipeline was built over. */
-    std::size_t taskCount() const { return reports_.size(); }
-
     /** await() calls that had to block (composer stalls). */
     std::uint64_t composerStalls() const;
 
@@ -118,8 +114,6 @@ class SegmentPipeline
 
   private:
     void runTask(std::size_t index);
-    void runAttempts(std::size_t index, TaskReport &report);
-    bool cancelledNow();
     void maybeSubmitLocked();
     /** The task's trace flow id (0 when tracing was off at admission). */
     std::uint64_t flowId(std::size_t index) const;

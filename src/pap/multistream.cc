@@ -3,13 +3,13 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "engine/functional_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "pap/exec/pipeline.h"
 #include "pap/exec/worker_pool.h"
 #include "pap/run_common.h"
 #include "pap/runner.h"
+#include "pap/segment_sim.h"
 
 namespace pap {
 
@@ -53,25 +53,18 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
     // timing arithmetic and never touches an engine). Each task
     // writes only its own raw[i] slot.
     std::vector<std::vector<ReportEvent>> raw(streams.size());
-    const auto run_stream =
-        [&](std::size_t i, const exec::CancellationToken *cancel) {
-            EngineScratch scratch(nfa.size());
-            FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
-            engine.reset(cnfa.initialActive(), 0);
-            constexpr std::uint64_t kCancelCheckChunk = 4096;
-            const std::uint64_t len = streams[i].size();
-            std::uint64_t pos = 0;
-            while (pos < len) {
-                if (cancel && cancel->cancelled())
-                    return false;
-                const std::uint64_t n =
-                    std::min(kCancelCheckChunk, len - pos);
-                engine.run(streams[i].ptr(pos), n);
-                pos += n;
-            }
-            raw[i] = engine.takeReports();
-            return true;
-        };
+    const auto run_stream = [&](std::size_t i,
+                                const exec::CancellationToken *cancel) {
+        EngineScratch scratch(cnfa.size());
+        SegmentRun run = runGoldenSegment(cnfa, streams[i].begin(), 0,
+                                          streams[i].size(), scratch,
+                                          nullptr, cancel);
+        if (cancel && cancel->cancelled())
+            return Status::error(ErrorCode::DeadlineExceeded, "stream ",
+                                 i, " cancelled by the watchdog");
+        raw[i] = std::move(run.flows.front().reports);
+        return Status();
+    };
 
     std::uint64_t longest = 0;
     for (const auto &stream : streams)
@@ -87,13 +80,8 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
     pipe_opt.window = options.pipelineWindow;
     exec::SegmentPipeline pipe(
         pipe_opt, streams.size(),
-        [&](std::size_t i,
-            const exec::CancellationToken &cancel) -> Status {
-            if (!run_stream(i, &cancel))
-                return Status::error(ErrorCode::DeadlineExceeded,
-                                     "stream ", i,
-                                     " cancelled by the watchdog");
-            return Status();
+        [&](std::size_t i, const exec::CancellationToken &cancel) {
+            return run_stream(i, &cancel);
         });
 
     // Timing model: round-robin TDM over the streams with the flow
@@ -152,7 +140,7 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
         result.reports[i] = std::move(raw[i]);
         sortAndDedupReports(result.reports[i]);
         const SequentialResult solo =
-            runSequential(nfa, streams[i], options);
+            runSequential(cnfa, streams[i], options);
         if (result.reports[i] != solo.reports) {
             warn("multiplexed stream ", i, " diverged from its "
                  "standalone execution; recovering the standalone "

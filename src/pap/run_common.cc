@@ -84,4 +84,12 @@ makeHardenedOptions(const PapOptions &options,
     return opt;
 }
 
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
 } // namespace pap

@@ -9,6 +9,7 @@
 #ifndef PAP_PAP_RUN_COMMON_H
 #define PAP_PAP_RUN_COMMON_H
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -72,6 +73,23 @@ exec::HardenedExecOptions
 makeHardenedOptions(const PapOptions &options,
                     std::uint32_t threads_resolved,
                     std::uint64_t longest_unit);
+
+/**
+ * Hash-combine @p v into @p h (splitmix64 finalizer): the mix the
+ * runner's and the serve layer's checkpoint identities are built from.
+ * Inline: the serve identity mixes every state and edge of a ruleset.
+ */
+inline std::uint64_t
+identityMix(std::uint64_t h, std::uint64_t v)
+{
+    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    return h ^ (h >> 31);
+}
+
+/** Milliseconds elapsed since @p t0. */
+double msSince(std::chrono::steady_clock::time_point t0);
 
 } // namespace pap
 

@@ -7,7 +7,6 @@
 
 #include "ap/placement.h"
 #include "common/logging.h"
-#include "engine/functional_engine.h"
 #include "nfa/analysis.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -26,17 +25,17 @@
 namespace pap {
 
 SequentialResult
-runSequential(const Nfa &nfa, const InputTrace &input,
+runSequential(const CompiledNfa &cnfa, const InputTrace &input,
               const PapOptions &options)
 {
     PAP_TRACE_SCOPE("pap.sequential");
-    CompiledNfa cnfa(nfa);
-    FunctionalEngine engine(cnfa, /*starts=*/true);
-    engine.reset(cnfa.initialActive(), 0);
-    engine.run(input.begin(), input.size());
+    EngineScratch scratch(cnfa.size());
+    FlowRecord golden = std::move(
+        runGoldenSegment(cnfa, input.begin(), 0, input.size(), scratch)
+            .flows.front());
 
     SequentialResult result;
-    const EngineCounters &c = engine.counters();
+    const EngineCounters &c = golden.counters;
     result.matches = c.matches;
     result.activeDensity =
         c.symbols && cnfa.size()
@@ -44,7 +43,7 @@ runSequential(const Nfa &nfa, const InputTrace &input,
                   (static_cast<double>(c.symbols) *
                    static_cast<double>(cnfa.size()))
             : 0.0;
-    result.reports = engine.takeReports();
+    result.reports = std::move(golden.reports);
     const std::uint64_t entries = result.reports.size();
     sortAndDedupReports(result.reports);
     result.cycles =
@@ -54,33 +53,20 @@ runSequential(const Nfa &nfa, const InputTrace &input,
     return result;
 }
 
-namespace {
-
-/** Fill the Table-1/Figure-8 independent fields of the result. */
-void
-describeRun(PapResult &result, const Nfa &nfa,
-            std::uint32_t num_segments, const Placement &placement)
+SequentialResult
+runSequential(const Nfa &nfa, const InputTrace &input,
+              const PapOptions &options)
 {
-    result.name = nfa.name();
-    result.numSegments = num_segments;
-    result.idealSpeedup = num_segments;
-    result.halfCoresPerCopy = placement.halfCoresPerCopy;
+    return runSequential(CompiledNfa(nfa), input, options);
 }
+
+namespace {
 
 /**
  * Record the run's headline metrics and per-segment distributions into
  * the process registry (the same numbers PapResult carries, so tests
  * and dumped JSON can cross-check them).
  */
-/** Milliseconds elapsed since @p t0. */
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 void
 recordRunMetrics(const PapResult &result)
 {
@@ -202,16 +188,6 @@ traceSimulatedTimeline(const PapResult &result)
     }
 }
 
-/** Hash-combine for the checkpoint identity (splitmix64 finalizer). */
-std::uint64_t
-identityMix(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    return h ^ (h >> 31);
-}
-
 /**
  * Identity hash binding a checkpoint to one (automaton, input,
  * partitioning) tuple. Thread count and retry knobs are deliberately
@@ -255,16 +231,20 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     // residual) sum to attrib.wallMs on success and failure alike.
     const auto run_t0 = std::chrono::steady_clock::now();
     obs::AttribLedger ledger;
-    const auto finish_attrib = [&] {
+    const auto finish = [&] {
         ledger.finalize(msSince(run_t0));
         result.attrib = ledger.snapshot();
+        recordRunMetrics(result);
     };
 
     // --- Sequential baseline (also the verification oracle) --------
+    // The one compile of the run serves the oracle and every flow.
     if (sink)
         sink->begin("pap.baseline");
     const auto baseline_t0 = std::chrono::steady_clock::now();
-    const SequentialResult seq = runSequential(nfa, input, options);
+    const RunContext ctx(nfa);
+    const CompiledNfa &cnfa = ctx.compiled();
+    const SequentialResult seq = runSequential(cnfa, input, options);
     result.baselineCycles = seq.cycles;
     result.seqReportEvents = seq.reports.size();
     ledger.chargeWall("baseline", msSince(baseline_t0));
@@ -275,7 +255,6 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     if (sink)
         sink->begin("pap.analyze");
     const auto analyze_t0 = std::chrono::steady_clock::now();
-    const RunContext ctx(nfa);
     const Result<PipelineMode> mode_resolved =
         resolvePipelineMode(options.pipeline);
     if (!mode_resolved.ok()) {
@@ -283,14 +262,12 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
             sink->end();
         result.status = mode_resolved.status();
         ledger.chargeWall("analyze", msSince(analyze_t0));
-        finish_attrib();
-        recordRunMetrics(result);
+        finish();
         return result;
     }
     const bool overlap =
         mode_resolved.value() == PipelineMode::Overlap;
     result.pipelineMode = pipelineModeName(mode_resolved.value());
-    const CompiledNfa &cnfa = ctx.compiled();
     const Components comps = connectedComponents(nfa);
     const std::vector<StateId> asg = alwaysActiveStates(nfa);
     const Placement placement = placeAutomaton(
@@ -303,7 +280,10 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     num_segments = static_cast<std::uint32_t>(std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(num_segments,
                                    input.size() / min_seg)));
-    describeRun(result, nfa, num_segments, placement);
+    result.name = nfa.name();
+    result.numSegments = num_segments;
+    result.idealSpeedup = num_segments;
+    result.halfCoresPerCopy = placement.halfCoresPerCopy;
     ledger.chargeWall("analyze", msSince(analyze_t0));
     if (sink)
         sink->end();
@@ -315,8 +295,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         result.papReportEvents = seq.reports.size();
         result.verified = true;
         obs::metrics().add("runner.sequential_fallbacks");
-        finish_attrib();
-        recordRunMetrics(result);
+        finish();
         return result;
     }
 
@@ -374,64 +353,49 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     // flows, so a segment fits iff flows + asg <= SVC capacity. The
     // capacity defaults to the device's (512 on the D480) but is
     // overridable for sensitivity sweeps (--svc-capacity).
-    const std::uint32_t svc_capacity =
-        options.svcCapacity > 0 ? options.svcCapacity
-                                : config.svcEntriesPerDevice;
+    const std::uint32_t svc_capacity = resolveSvcCapacity(options, config);
     const std::uint32_t asg_slots = asg.empty() ? 0u : 1u;
-    const std::uint32_t batch_cap = std::max<std::uint32_t>(
-        1, svc_capacity - std::min(svc_capacity - 1, asg_slots));
     const bool evict_mode =
         options.overflowPolicy == OverflowPolicy::Evict;
-    result.svcOverflow = result.maxFlowsPerSegment > batch_cap;
+    result.svcOverflow = result.maxFlowsPerSegment >
+                         svcBatchCapacity(svc_capacity, !asg.empty());
     result.svcCapacity = svc_capacity;
     result.svcPolicy = svcPolicyName(options.svcPolicy);
 
-    const auto sequential_fallback = [&](const std::string &why) {
-        warn("'", nfa.name(), "' falls back to the golden sequential "
-             "execution: ", why);
-        obs::metrics().add("runner.sequential_fallbacks");
-        result.papCycles = seq.cycles;
-        result.speedup = 1.0;
-        result.reports = seq.reports;
-        result.papReportEvents = seq.reports.size();
-        result.verified = true;
-        result.degraded = true;
-        finish_attrib();
-        recordRunMetrics(result);
-        return result;
-    };
-
-    if (result.maxFlowsPerSegment > options.maxFlowsPerSegment) {
-        const std::string why = detail::concat(
+    // A plan over the configured flow limit is too degenerate to
+    // batch (it would be slower than the baseline), and under Degrade
+    // an SVC overflow gives up too: both degrade to the golden
+    // sequential result — or fail typed under OverflowPolicy::Fail.
+    std::string why;
+    if (result.maxFlowsPerSegment > options.maxFlowsPerSegment)
+        why = detail::concat(
             "needs ", result.maxFlowsPerSegment,
             " enumeration flows per segment, above the configured "
             "limit of ", options.maxFlowsPerSegment);
-        if (options.overflowPolicy == OverflowPolicy::Fail) {
-            result.status = Status::error(ErrorCode::CapacityExceeded,
-                                          "'", nfa.name(), "' ", why);
-            finish_attrib();
-            recordRunMetrics(result);
-            return result;
-        }
-        // Batching a plan this degenerate would be slower than the
-        // baseline, so Batch degrades to the sequential result too.
-        return sequential_fallback(why);
-    }
-    if (result.svcOverflow &&
-        options.overflowPolicy != OverflowPolicy::Batch &&
-        !evict_mode) {
-        const std::string why = detail::concat(
+    else if (result.svcOverflow &&
+             options.overflowPolicy != OverflowPolicy::Batch &&
+             !evict_mode)
+        why = detail::concat(
             "needs up to ", result.maxFlowsPerSegment, " + ", asg_slots,
             " flow contexts per segment, above the ", svc_capacity,
             "-entry State Vector Cache");
+    if (!why.empty()) {
         if (options.overflowPolicy == OverflowPolicy::Fail) {
             result.status = Status::error(ErrorCode::CapacityExceeded,
                                           "'", nfa.name(), "' ", why);
-            finish_attrib();
-            recordRunMetrics(result);
-            return result;
+        } else {
+            warn("'", nfa.name(), "' falls back to the golden "
+                 "sequential execution: ", why);
+            obs::metrics().add("runner.sequential_fallbacks");
+            result.papCycles = seq.cycles;
+            result.speedup = 1.0;
+            result.reports = seq.reports;
+            result.papReportEvents = seq.reports.size();
+            result.verified = true;
+            result.degraded = true;
         }
-        return sequential_fallback(why);
+        finish();
+        return result;
     }
 
     // --- Checkpoint resume ------------------------------------------
@@ -475,9 +439,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         sink->begin("pap.execute");
     result.threadsUsed =
         exec::WorkerPool::resolveThreads(options.threads);
-    const std::vector<StateId> no_asg;
-    std::vector<SegmentRun> runs(segs.size());
-    std::vector<std::uint32_t> seg_batches(segs.size(), 1);
+    std::vector<SegmentExecution> runs(segs.size());
 
     std::uint64_t longest = 0;
     for (const Segment &s : segs)
@@ -485,13 +447,13 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     const exec::HardenedExecOptions exec_opt =
         makeHardenedOptions(options, result.threadsUsed, longest);
 
-    // Every task writes only its own runs[j] / seg_batches[j] slot, so
-    // scheduling order cannot leak into the results; all reductions
-    // run in segment order in the composition loop below, as the
-    // composer awaits each segment. In barrier mode the pipeline
-    // constructor runs every segment to completion (the historical
-    // behavior); in overlap mode it returns once the first handoff
-    // window is submitted and the composer overlaps with execution.
+    // Every task writes only its own runs[j] slot, so scheduling order
+    // cannot leak into the results; all reductions run in segment
+    // order in the composition loop below, as the composer awaits each
+    // segment. In barrier mode the pipeline constructor runs every
+    // segment to completion (the historical behavior); in overlap mode
+    // it returns once the first handoff window is submitted and the
+    // composer overlaps with execution.
     exec::SegmentPipeline::Options pipe_opt;
     pipe_opt.exec = exec_opt;
     pipe_opt.overlap = overlap;
@@ -509,67 +471,10 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
             const std::size_t j = first_segment + idx;
             const Segment &s = segs[j];
             const auto task_t0 = std::chrono::steady_clock::now();
-            EngineScratch scratch(nfa.size());
-            SegmentRun run;
-            std::uint32_t batches = 1;
-            if (j == 0) {
-                run = runGoldenSegment(cnfa, input.ptr(s.begin), s.begin,
-                                       s.length(), scratch, injector,
-                                       &cancel);
-            } else if (plans[j].flows.size() <= batch_cap ||
-                       evict_mode) {
-                // Fits the SVC — or Evict mode, which schedules the
-                // whole plan at once and leaves residency churn to
-                // the timeline's live cache. Running unbatched means
-                // convergence merging sees every flow (batching
-                // confines it within a batch), and makes the reports
-                // byte-identical across policies and capacities by
-                // construction.
-                run = runEnumSegment(cnfa, plans[j], asg,
-                                     input.ptr(s.begin), s.begin,
-                                     s.length(), options, scratch,
-                                     kInvalidFlow, &cancel);
-            } else {
-                // OverflowPolicy::Batch: the plan exceeds the SVC, so
-                // run it in cache-sized batches, back to back. Flow
-                // ids stay global (FlowSpec::id), so the merged run
-                // composes exactly like an unbatched one; the ASG flow
-                // runs once, in batch 0, under the whole plan's ASG id.
-                const FlowPlan &plan = plans[j];
-                const auto asg_id =
-                    static_cast<FlowId>(plan.flows.size());
-                run.segBegin = s.begin;
-                run.segLen = s.length();
-                std::uint32_t b = 0;
-                for (std::size_t first = 0;
-                     first < plan.flows.size() && !cancel.cancelled();
-                     first += batch_cap, ++b) {
-                    const auto batch_t0 =
-                        std::chrono::steady_clock::now();
-                    const std::size_t last = std::min(
-                        plan.flows.size(),
-                        first + static_cast<std::size_t>(batch_cap));
-                    FlowPlan sub;
-                    sub.flows.assign(plan.flows.begin() + first,
-                                     plan.flows.begin() + last);
-                    SegmentRun part = runEnumSegment(
-                        cnfa, sub, b == 0 ? asg : no_asg,
-                        input.ptr(s.begin), s.begin, s.length(),
-                        options, scratch, asg_id, &cancel);
-                    if (b == 0)
-                        run.asgIndex = part.asgIndex;
-                    for (auto &rec : part.flows) {
-                        rec.batch = b;
-                        run.flows.push_back(std::move(rec));
-                    }
-                    // Re-upload batches past the first are pure SVC
-                    // overflow overhead: account them separately.
-                    if (b > 0)
-                        ledger.chargeAux("workers.svc_batch",
-                                         msSince(batch_t0));
-                }
-                batches = std::max(1u, b);
-            }
+            SegmentExecution ran = executeSegment(
+                cnfa, j == 0 ? nullptr : &plans[j], asg,
+                input.ptr(s.begin), s.begin, s.length(), options,
+                svc_capacity, &cancel, &ledger);
             if (options.emulateDeviceNsPerSymbol > 0.0) {
                 // Emulate the AP device streaming this segment: the
                 // task occupies at least length * ns of wall-clock,
@@ -591,8 +496,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                 return Status::error(ErrorCode::DeadlineExceeded,
                                      "segment ", j,
                                      " cancelled by the watchdog");
-            runs[j] = std::move(run);
-            seg_batches[j] = batches;
+            runs[j] = std::move(ran);
             return Status();
         });
     // Composer-side cost of the pipeline constructor: in barrier mode
@@ -607,52 +511,15 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                     static_cast<double>(result.threadsUsed)},
                    {"overlap", overlap ? 1.0 : 0.0}});
 
-    std::vector<std::uint8_t> seg_failed(segs.size(), 0);
-    std::vector<std::uint8_t> seg_retried(segs.size(), 0);
-
     // --- Composition chain ------------------------------------------
+    // The frontier (fresh, or resumed from the checkpoint) accumulates
+    // everything later segments and the result need: the true final
+    // active set, the true reports, the census and one record per
+    // composed segment.
     if (sink)
         sink->begin("pap.compose");
-    std::vector<SegmentTruth> truths(segs.size());
     const std::vector<StateId> no_truth;
-    std::uint64_t flow_transitions = frontier.flowTransitions;
-    result.flowSymbolCycles = frontier.flowSymbolCycles;
     const std::uint64_t base_flow_symbols = frontier.flowSymbolCycles;
-    result.segmentsRetried = frontier.segmentsRetried;
-    result.segmentsRecovered = frontier.segmentsRecovered;
-    const std::uint64_t base_entries = frontier.papEntries;
-    const std::vector<ReportEvent> base_reports = frontier.reports;
-    std::vector<StateId> prev_final = frontier.finalActive;
-
-    /** Timing-model input for a composed segment (also checkpointed). */
-    const auto build_timing = [&](std::size_t j) {
-        SegmentTimingInput t;
-        t.segLen = segs[j].length();
-        t.totalEntries = truths[j].totalEntries;
-        t.aliveEnumFlowsAtEnd = truths[j].aliveEnumFlowsAtEnd;
-        t.hasEnumFlows =
-            j > 0 && !plans[j].flows.empty() && !seg_failed[j];
-        t.numBatches = seg_batches[j];
-        t.batchReloadCycles = config.timing.stateVectorUploadCycles;
-        // Evict mode: the timeline replays this segment's flow
-        // schedule through a live cache of the configured capacity
-        // and policy, charging a re-upload per restored context.
-        t.svcEvict = evict_mode && t.hasEnumFlows;
-        t.svcCapacity = svc_capacity;
-        t.svcPolicy = options.svcPolicy;
-        for (const auto &rec : runs[j].flows) {
-            FlowTimingInfo info;
-            info.kind = rec.kind;
-            info.symbolsProcessed = rec.symbolsProcessed;
-            info.batch = rec.batch;
-            info.isTrue =
-                rec.kind != FlowKind::Enum ||
-                (rec.id < truths[j].flowTrue.size() &&
-                 truths[j].flowTrue[rec.id] != 0);
-            t.flows.push_back(info);
-        }
-        return t;
-    };
 
     for (std::size_t j = first_segment; j < segs.size(); ++j) {
         const Segment &s = segs[j];
@@ -665,18 +532,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         const exec::TaskReport &tr = pipe.await(j - first_segment);
         ledger.chargeWall("pipeline.stall", msSince(await_t0));
         const auto compose_t0 = std::chrono::steady_clock::now();
-        seg_retried[j] = tr.retried ? 1 : 0;
-        if (!tr.status.ok()) {
-            seg_failed[j] = 1;
-            seg_batches[j] = 1;
-            warn("segment ", j, " failed after ", tr.attempts,
-                 " attempts (", tr.status.message(),
-                 "); recovering it from the sequential oracle");
-        }
-        result.svcBatches =
-            std::max(result.svcBatches, seg_batches[j]);
-        if (seg_batches[j] > 1)
-            obs::metrics().add("runner.svc_batches", seg_batches[j]);
+        const bool failed = !tr.status.ok();
         // A dropped inter-segment downlink loses the predecessor's
         // true final active set; composition then judges this
         // segment's paths against an empty T (the verification oracle
@@ -684,49 +540,54 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         const bool truth_lost =
             j > 0 && injector && injector->onFivDownload();
 
-        if (seg_failed[j]) {
+        SegmentExecution &ran = runs[j];
+        SegmentTruth truth;
+        if (failed) {
             // Per-segment oracle continuation: the segment exhausted
             // its retries, so recompute exactly this slice of input
             // from the composition frontier with the sequential
             // engine. Timing degrades to a single golden-like flow.
-            ++result.segmentsRecovered;
+            warn("segment ", j, " failed after ", tr.attempts,
+                 " attempts (", tr.status.message(),
+                 "); recovering it from the sequential oracle");
+            ++frontier.segmentsRecovered;
             result.degraded = true;
             obs::metrics().add("exec.segments.recovered");
-            EngineScratch scratch(nfa.size());
-            FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
-            engine.reset(j == 0 ? cnfa.initialActive() : prev_final,
-                         s.begin);
-            engine.run(input.ptr(s.begin), s.length());
-            FlowRecord rec;
-            rec.id = 0;
-            rec.kind = FlowKind::Golden;
-            rec.symbolsProcessed = s.length();
-            rec.cause = DeathCause::RanToEnd;
-            rec.finalSnapshot = engine.snapshot();
-            rec.counters = engine.counters();
-            rec.reports = engine.takeReports();
-            runs[j] = SegmentRun{};
-            runs[j].segBegin = s.begin;
-            runs[j].segLen = s.length();
-            runs[j].flows.push_back(std::move(rec));
-            truths[j] = composeGolden(runs[j]);
+            EngineScratch scratch(cnfa.size());
+            ran.run = runGoldenSegment(
+                cnfa, input.ptr(s.begin), s.begin, s.length(), scratch,
+                nullptr, nullptr, j == 0 ? nullptr : &frontier.finalActive);
+            ran.batches = 1;
+            truth = composeGolden(ran.run);
             // The oracle repaired whatever the injected worker faults
             // broke; close their detected/recovered loop.
             if (injector && tr.faultsInjected > 0)
                 injector->markRecovered(tr.faultsInjected);
         } else if (j == 0) {
-            truths[0] = composeGolden(runs[0]);
+            truth = composeGolden(ran.run);
         } else {
-            truths[j] = composeEnum(cnfa, comps, plans[j], runs[j],
-                                    truth_lost ? no_truth : prev_final);
+            truth = composeEnum(cnfa, comps, plans[j], ran.run,
+                                truth_lost ? no_truth
+                                           : frontier.finalActive);
         }
-        prev_final = truths[j].finalActive;
-        if (seg_retried[j])
-            ++result.segmentsRetried;
+        if (tr.retried)
+            ++frontier.segmentsRetried;
+        result.svcBatches = std::max(result.svcBatches, ran.batches);
+        if (ran.batches > 1)
+            obs::metrics().add("runner.svc_batches", ran.batches);
+        frontier.segments.push_back(recordSegment(
+            ran.run, truth, j > 0 && !plans[j].flows.empty() && !failed,
+            failed, ran.batches, config.timing.stateVectorUploadCycles));
+        frontier.nextSegment = static_cast<std::uint32_t>(j + 1);
+        frontier.finalActive = std::move(truth.finalActive);
+        frontier.reports.insert(frontier.reports.end(),
+                                truth.trueReports.begin(),
+                                truth.trueReports.end());
+        frontier.papEntries += truth.totalEntries;
         std::array<std::uint64_t, 8> seg_octiles{};
-        for (const auto &rec : runs[j].flows) {
-            flow_transitions += rec.counters.matches;
-            result.flowSymbolCycles += rec.counters.symbols;
+        for (const auto &rec : ran.run.flows) {
+            frontier.flowTransitions += rec.counters.matches;
+            frontier.flowSymbolCycles += rec.counters.symbols;
             result.engineSuccRows += rec.counters.succRows;
             result.engineMaskWords += rec.counters.maskWords;
             result.engineBytesTouched += rec.counters.bytesTouched;
@@ -736,8 +597,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                     rec.counters.densityOctiles[k];
             }
         }
-        ledger.chargeWall(seg_failed[j] ? "compose.recover"
-                                        : "compose.decode",
+        ledger.chargeWall(failed ? "compose.recover" : "compose.decode",
                           msSince(compose_t0));
         if (sink) {
             // Mean active-state density octile over this segment's
@@ -753,8 +613,8 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                                      : 0.0);
         }
 
-        if (options.emulateDeviceNsPerSymbol > 0.0 && j > 0 &&
-            !plans[j].flows.empty() && !seg_failed[j]) {
+        if (options.emulateDeviceNsPerSymbol > 0.0 &&
+            frontier.segments.back().timing.hasEnumFlows) {
             // Emulate the host's modeled Tcpu for this segment in
             // wall-clock (upload + decode, the same formula the
             // timeline charges — Fig. 11), at the emulated device
@@ -762,9 +622,9 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
             // the serial host work the overlap schedule exists to
             // hide behind later segments' device time.
             Cycles decode = options.decodeBaseCycles;
-            if (truths[j].aliveEnumFlowsAtEnd > 0)
+            if (truth.aliveEnumFlowsAtEnd > 0)
                 decode += options.decodePerFlowCycles *
-                          truths[j].aliveEnumFlowsAtEnd;
+                          truth.aliveEnumFlowsAtEnd;
             const auto tcpu = std::chrono::nanoseconds(
                 static_cast<std::int64_t>(
                     static_cast<double>(
@@ -782,34 +642,9 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
 
         if (checkpointing) {
             obs::AttribLedger::Scope cpio(&ledger, "checkpoint.io");
-            frontier.nextSegment = static_cast<std::uint32_t>(j + 1);
-            frontier.finalActive = prev_final;
-            frontier.reports.insert(frontier.reports.end(),
-                                    truths[j].trueReports.begin(),
-                                    truths[j].trueReports.end());
-            frontier.papEntries += truths[j].totalEntries;
-            frontier.flowTransitions = flow_transitions;
-            frontier.flowSymbolCycles = result.flowSymbolCycles;
-            frontier.segmentsRetried = result.segmentsRetried;
-            frontier.segmentsRecovered = result.segmentsRecovered;
             frontier.rngState = injector
                                     ? injector->rngState()
                                     : std::array<std::uint64_t, 4>{};
-            exec::SegmentCheckpoint cp;
-            cp.timing = build_timing(j);
-            for (const auto &rec : runs[j].flows) {
-                if (rec.kind != FlowKind::Enum)
-                    continue;
-                switch (rec.cause) {
-                  case DeathCause::Deactivated: ++cp.deactivated; break;
-                  case DeathCause::Converged: ++cp.converged; break;
-                  case DeathCause::RanToEnd: ++cp.ranToEnd; break;
-                }
-            }
-            for (const auto t : truths[j].pathTrue)
-                cp.truePaths += t;
-            cp.recovered = seg_failed[j];
-            frontier.segments.push_back(std::move(cp));
             const Status saved = exec::saveCheckpoint(
                 options.checkpointPath, frontier);
             if (!saved.ok())
@@ -829,8 +664,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                 ErrorCode::Cancelled, "run stopped after segment ", j,
                 " (stop-after-segment)",
                 checkpointing ? "; checkpoint saved" : "");
-            finish_attrib();
-            recordRunMetrics(result);
+            finish();
             return result;
         }
     }
@@ -838,10 +672,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     // how much of it the composer spent blocked on segment handoffs.
     // Diagnostics only — reports and modeled metrics never depend on
     // these numbers.
-    result.pipelineWallMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - region_t0)
-            .count();
+    result.pipelineWallMs = msSince(region_t0);
     result.composerStallMs = pipe.composerStallMs();
     result.pipelineOccupancy =
         result.pipelineWallMs > 0.0
@@ -855,21 +686,18 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     obs::metrics().setGauge("pipeline.occupancy",
                             result.pipelineOccupancy);
 
+    result.segmentsRetried = frontier.segmentsRetried;
+    result.segmentsRecovered = frontier.segmentsRecovered;
+    result.flowSymbolCycles = frontier.flowSymbolCycles;
+    result.flowTransitions = frontier.flowTransitions;
+    result.seqTransitions = seq.matches;
     result.transitionRatio =
-        seq.matches ? static_cast<double>(flow_transitions) /
+        seq.matches ? static_cast<double>(result.flowTransitions) /
                           static_cast<double>(seq.matches)
                     : 1.0;
-    result.flowTransitions = flow_transitions;
-    result.seqTransitions = seq.matches;
 
-    std::uint64_t pap_entries = base_entries;
-    result.reports = base_reports;
-    for (std::size_t j = first_segment; j < segs.size(); ++j) {
-        pap_entries += truths[j].totalEntries;
-        result.reports.insert(result.reports.end(),
-                              truths[j].trueReports.begin(),
-                              truths[j].trueReports.end());
-    }
+    const std::uint64_t pap_entries = frontier.papEntries;
+    result.reports = std::move(frontier.reports);
     sortAndDedupReports(result.reports);
     result.papReportEvents = pap_entries;
     result.reportInflation =
@@ -921,10 +749,16 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     const auto timeline_t0 = std::chrono::steady_clock::now();
     // Resumed segments replay their checkpointed timing records, so a
     // killed-and-resumed run reproduces the same per-figure numbers.
+    // Evict mode: the timeline replays each enumerating segment's flow
+    // schedule through a live cache of the configured capacity and
+    // policy, charging a re-upload per restored context.
     std::vector<SegmentTimingInput> timing_in(segs.size());
-    for (std::size_t j = 0; j < segs.size(); ++j)
-        timing_in[j] = j < first_segment ? frontier.segments[j].timing
-                                         : build_timing(j);
+    for (std::size_t j = 0; j < segs.size(); ++j) {
+        timing_in[j] = frontier.segments[j].timing;
+        timing_in[j].svcEvict = evict_mode && timing_in[j].hasEnumFlows;
+        timing_in[j].svcCapacity = svc_capacity;
+        timing_in[j].svcPolicy = options.svcPolicy;
+    }
     const TimelineResult timeline =
         simulateTimeline(timing_in, result.seqReportEvents, input.size(),
                          options, config.timing);
@@ -973,27 +807,12 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         diag.flows = static_cast<std::uint32_t>(plans[j].flows.size());
         diag.totalPaths =
             static_cast<std::uint32_t>(plans[j].paths.size());
-        if (j < first_segment) {
-            const auto &cp = frontier.segments[j];
-            diag.deactivated = cp.deactivated;
-            diag.converged = cp.converged;
-            diag.ranToEnd = cp.ranToEnd;
-            diag.truePaths = cp.truePaths;
-            diag.entries = cp.timing.totalEntries;
-        } else {
-            for (const auto t : truths[j].pathTrue)
-                diag.truePaths += t;
-            for (const auto &rec : runs[j].flows) {
-                if (rec.kind != FlowKind::Enum)
-                    continue;
-                switch (rec.cause) {
-                  case DeathCause::Deactivated: ++diag.deactivated; break;
-                  case DeathCause::Converged: ++diag.converged; break;
-                  case DeathCause::RanToEnd: ++diag.ranToEnd; break;
-                }
-            }
-            diag.entries = truths[j].totalEntries;
-        }
+        const exec::SegmentCheckpoint &rec = frontier.segments[j];
+        diag.deactivated = rec.deactivated;
+        diag.converged = rec.converged;
+        diag.ranToEnd = rec.ranToEnd;
+        diag.truePaths = rec.truePaths;
+        diag.entries = rec.timing.totalEntries;
         diag.tDone = timeline.tDone[j];
         diag.tResolve = timeline.tResolve[j];
     }
@@ -1040,8 +859,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                   static_cast<double>(engine_symbols)
             : 0.0;
 
-    finish_attrib();
-    recordRunMetrics(result);
+    finish();
     traceSimulatedTimeline(result);
     return result;
 }

@@ -17,6 +17,7 @@
 
 #include "ap/ap_config.h"
 #include "common/error.h"
+#include "engine/compiled_nfa.h"
 #include "engine/report.h"
 #include "engine/trace.h"
 #include "nfa/nfa.h"
@@ -41,7 +42,15 @@ struct SequentialResult
     double activeDensity = 0.0;
 };
 
-/** Run @p nfa sequentially over @p input. */
+/**
+ * Run @p cnfa sequentially over @p input: one golden flow from the
+ * StartOfData states (runGoldenSegment over the whole input).
+ */
+SequentialResult runSequential(const CompiledNfa &cnfa,
+                               const InputTrace &input,
+                               const PapOptions &options = {});
+
+/** Compile @p nfa and run it sequentially over @p input. */
 SequentialResult runSequential(const Nfa &nfa, const InputTrace &input,
                                const PapOptions &options = {});
 

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "obs/attrib.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "pap/fault_injector.h"
@@ -15,7 +16,8 @@ SegmentRun
 runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
                  std::uint64_t seg_begin, std::uint64_t seg_len,
                  EngineScratch &scratch, FaultInjector *injector,
-                 const exec::CancellationToken *cancel)
+                 const exec::CancellationToken *cancel,
+                 const std::vector<StateId> *start)
 {
     PAP_TRACE_SCOPE("segment.golden");
     obs::metrics().add("segment_sim.flows.golden");
@@ -24,7 +26,7 @@ runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
     run.segLen = seg_len;
 
     FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
-    engine.reset(cnfa.initialActive(), seg_begin);
+    engine.reset(start ? *start : cnfa.initialActive(), seg_begin);
     if (!cancel) {
         engine.run(data, seg_len);
     } else {
@@ -256,25 +258,114 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
     m.add("segment_sim.flows.enum", plan.flows.size());
     if (asg_live_index >= 0)
         m.add("segment_sim.flows.asg");
+    const FlowOutcomes outcomes = countFlowOutcomes(run);
+    if (outcomes.deactivated)
+        m.add("segment_sim.deactivations", outcomes.deactivated);
+    if (outcomes.converged)
+        m.add("segment_sim.convergence_merges", outcomes.converged);
     for (const auto &rec : run.flows) {
         if (rec.kind != FlowKind::Enum)
             continue;
-        switch (rec.cause) {
-          case DeathCause::Deactivated:
-            m.add("segment_sim.deactivations");
-            break;
-          case DeathCause::Converged:
-            m.add("segment_sim.convergence_merges");
+        if (rec.cause == DeathCause::Converged)
             m.observe("segment_sim.merge_symbol",
                       static_cast<double>(rec.mergeSymbol));
-            break;
-          case DeathCause::RanToEnd:
-            break;
-        }
         m.observe("segment_sim.flow_symbols",
                   static_cast<double>(rec.symbolsProcessed));
     }
     return run;
+}
+
+FlowOutcomes
+countFlowOutcomes(const SegmentRun &run)
+{
+    FlowOutcomes out;
+    for (const auto &rec : run.flows) {
+        if (rec.kind != FlowKind::Enum)
+            continue;
+        switch (rec.cause) {
+          case DeathCause::Deactivated: ++out.deactivated; break;
+          case DeathCause::Converged: ++out.converged; break;
+          case DeathCause::RanToEnd: ++out.ranToEnd; break;
+        }
+    }
+    return out;
+}
+
+std::uint32_t
+resolveSvcCapacity(const PapOptions &options, const ApConfig &config)
+{
+    return options.svcCapacity > 0 ? options.svcCapacity
+                                   : config.svcEntriesPerDevice;
+}
+
+std::uint32_t
+svcBatchCapacity(std::uint32_t svc_capacity, bool has_asg)
+{
+    const std::uint32_t asg_slots = has_asg ? 1u : 0u;
+    return std::max<std::uint32_t>(
+        1, svc_capacity - std::min(svc_capacity - 1, asg_slots));
+}
+
+SegmentExecution
+executeSegment(const CompiledNfa &cnfa, const FlowPlan *plan,
+               const std::vector<StateId> &asg, const Symbol *data,
+               std::uint64_t seg_begin, std::uint64_t seg_len,
+               const PapOptions &options, std::uint32_t svc_capacity,
+               const exec::CancellationToken *cancel,
+               obs::AttribLedger *attrib)
+{
+    EngineScratch scratch(cnfa.size());
+    SegmentExecution out;
+    if (!plan) {
+        out.run = runGoldenSegment(cnfa, data, seg_begin, seg_len,
+                                   scratch, options.faultInjector, cancel);
+        return out;
+    }
+    const std::size_t batch_cap =
+        svcBatchCapacity(svc_capacity, !asg.empty());
+    if (plan->flows.size() <= batch_cap ||
+        options.overflowPolicy == OverflowPolicy::Evict) {
+        // Running unbatched means convergence merging sees every flow
+        // (batching confines it within a batch), and makes the reports
+        // byte-identical across policies and capacities by
+        // construction.
+        out.run = runEnumSegment(cnfa, *plan, asg, data, seg_begin,
+                                 seg_len, options, scratch, kInvalidFlow,
+                                 cancel);
+        return out;
+    }
+    const auto asg_id = static_cast<FlowId>(plan->flows.size());
+    const std::vector<StateId> no_asg;
+    out.run.segBegin = seg_begin;
+    out.run.segLen = seg_len;
+    std::uint32_t b = 0;
+    for (std::size_t first = 0;
+         first < plan->flows.size() && !(cancel && cancel->cancelled());
+         first += batch_cap, ++b) {
+        // Re-upload batches past the first are pure SVC overflow
+        // overhead: account them separately.
+        obs::AttribLedger::Scope batch_time(b > 0 ? attrib : nullptr,
+                                            "workers.svc_batch",
+                                            /*aux=*/true);
+        const std::size_t last =
+            std::min(plan->flows.size(), first + batch_cap);
+        FlowPlan sub;
+        sub.flows.assign(plan->flows.begin() +
+                             static_cast<std::ptrdiff_t>(first),
+                         plan->flows.begin() +
+                             static_cast<std::ptrdiff_t>(last));
+        SegmentRun part = runEnumSegment(
+            cnfa, sub, b == 0 ? asg : no_asg, data, seg_begin, seg_len,
+            options, scratch, asg_id, cancel);
+        if (b == 0)
+            out.run.asgIndex = part.asgIndex;
+        for (auto &rec : part.flows) {
+            rec.batch = b;
+            out.run.flows.push_back(std::move(rec));
+        }
+    }
+    out.batches = std::max(1u, b);
+    return out;
 }
 
 } // namespace pap

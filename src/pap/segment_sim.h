@@ -15,12 +15,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "ap/ap_config.h"
 #include "engine/functional_engine.h"
 #include "pap/exec/cancellation.h"
 #include "pap/flow_plan.h"
 #include "pap/options.h"
 
 namespace pap {
+namespace obs {
+class AttribLedger;
+} // namespace obs
 
 /** Role of a flow within a segment. */
 enum class FlowKind : std::uint8_t
@@ -79,15 +83,29 @@ struct SegmentRun
     int asgIndex = -1;
 };
 
+/** Outcomes of a segment run's enumeration flows. */
+struct FlowOutcomes
+{
+    std::uint32_t deactivated = 0;
+    std::uint32_t converged = 0;
+    std::uint32_t ranToEnd = 0;
+};
+
+/** Count how @p run's enumeration flows stopped. */
+FlowOutcomes countFlowOutcomes(const SegmentRun &run);
+
 class FaultInjector;
 
 /**
- * Run the first segment: a single golden flow with full start-state
- * machinery, seeded with the StartOfData states, running over
- * @p cnfa. @p injector, when non-null, may drop or
- * truncate the flow's report buffer. @p cancel, when non-null, is
- * polled cooperatively (the run is chunked); a cancelled run returns
- * early with a partial record the caller must discard.
+ * Run a single golden flow with full start-state machinery over
+ * @p cnfa: the first segment, seeded with the StartOfData states, or —
+ * when @p start is non-null — the sequential continuation of the true
+ * path from that active set (the oracle that recovers a segment whose
+ * retries ran out, and the sequential baseline itself). @p injector,
+ * when non-null, may drop or truncate the flow's report buffer.
+ * @p cancel, when non-null, is polled cooperatively (the run is
+ * chunked); a cancelled run returns early with a partial record the
+ * caller must discard.
  */
 SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
                             const Symbol *data,
@@ -95,7 +113,8 @@ SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
                             EngineScratch &scratch,
                             FaultInjector *injector = nullptr,
                             const exec::CancellationToken *cancel =
-                                nullptr);
+                                nullptr,
+                            const std::vector<StateId> *start = nullptr);
 
 /**
  * Run a later segment: the ASG flow (if @p asg_seed is non-empty) plus
@@ -120,6 +139,51 @@ SegmentRun runEnumSegment(const CompiledNfa &cnfa,
                           FlowId asg_flow_id = kInvalidFlow,
                           const exec::CancellationToken *cancel =
                               nullptr);
+
+/** A segment's run and the SVC batches it executed in. */
+struct SegmentExecution
+{
+    SegmentRun run;
+    /** SVC batches the plan ran in (1 unless it overflowed the cache). */
+    std::uint32_t batches = 1;
+};
+
+/**
+ * The modeled State Vector Cache capacity in flow contexts:
+ * options.svcCapacity when set, else the device's.
+ */
+std::uint32_t resolveSvcCapacity(const PapOptions &options,
+                                 const ApConfig &config);
+
+/**
+ * Enumeration flows one SVC batch holds: @p svc_capacity less the
+ * entry the ASG flow occupies when @p has_asg, and at least 1.
+ */
+std::uint32_t svcBatchCapacity(std::uint32_t svc_capacity, bool has_asg);
+
+/**
+ * Execute one segment the way the device does (Section 3.2): the
+ * golden flow when @p plan is null, otherwise the ASG flow (@p asg)
+ * plus the plan's enumeration flows under TDM. A plan larger than one
+ * SVC batch (svcBatchCapacity of @p svc_capacity) runs in cache-sized
+ * batches back to back — flow ids stay global, so the merged run
+ * composes exactly like an unbatched one, and the ASG flow runs once,
+ * in batch 0. OverflowPolicy::Evict runs the whole plan at once and
+ * leaves residency churn to the timeline's live cache. Batches past
+ * the first are charged to @p attrib's aux bucket "workers.svc_batch"
+ * when a ledger is given. @p cancel is polled as in runGoldenSegment
+ * and runEnumSegment; a cancelled run is partial.
+ */
+SegmentExecution executeSegment(const CompiledNfa &cnfa,
+                                const FlowPlan *plan,
+                                const std::vector<StateId> &asg,
+                                const Symbol *data,
+                                std::uint64_t seg_begin,
+                                std::uint64_t seg_len,
+                                const PapOptions &options,
+                                std::uint32_t svc_capacity,
+                                const exec::CancellationToken *cancel,
+                                obs::AttribLedger *attrib = nullptr);
 
 } // namespace pap
 

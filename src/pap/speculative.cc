@@ -12,6 +12,7 @@
 #include "pap/partitioner.h"
 #include "pap/run_common.h"
 #include "pap/runner.h"
+#include "pap/segment_sim.h"
 
 namespace pap {
 
@@ -63,7 +64,7 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
 
     PapOptions base;
     base.reportCostCyclesPerEvent = options.reportCostCyclesPerEvent;
-    const SequentialResult seq = runSequential(nfa, input, base);
+    const SequentialResult seq = runSequential(cnfa, input, base);
     result.baselineCycles = seq.cycles;
 
     if (num_segments == 1) {
@@ -105,55 +106,50 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
     const auto speculate = [&](std::size_t j, EngineScratch &s,
                                const exec::CancellationToken *cancel) {
         spec[j] = SegmentSpec{}; // retries start from a clean slot
-        FunctionalEngine engine(cnfa, /*starts=*/true, &s);
-        if (j == 0) {
-            // The first segment needs no speculation.
-            engine.reset(cnfa.initialActive(), 0);
-            engine.run(input.ptr(segs[0].begin), segs[0].length());
-            if (cancel && cancel->cancelled())
-                return false;
-            spec[0].specFinal = engine.snapshot();
-            spec[0].specReports = engine.takeReports();
-            return true;
+        if (j > 0) {
+            // Predict the start set: run from an empty set over the
+            // warmup window, so only activity born there survives.
+            const std::uint64_t from =
+                std::max(segs[j - 1].begin,
+                         segs[j].begin >= options.warmupWindow
+                             ? segs[j].begin - options.warmupWindow
+                             : 0);
+            const std::vector<StateId> none;
+            spec[j].warmupSymbols = segs[j].begin - from;
+            spec[j].predicted = std::move(
+                runGoldenSegment(cnfa, input.ptr(from), from,
+                                 spec[j].warmupSymbols, s, nullptr,
+                                 nullptr, &none)
+                    .flows.front()
+                    .finalSnapshot);
         }
-        const std::uint64_t from =
-            std::max(segs[j - 1].begin,
-                     segs[j].begin >= options.warmupWindow
-                         ? segs[j].begin - options.warmupWindow
-                         : 0);
-        engine.reset({}, from);
-        engine.run(input.ptr(from), segs[j].begin - from);
-        spec[j].warmupSymbols = segs[j].begin - from;
-        spec[j].predicted = engine.snapshot();
-        // Fresh engine for the segment itself so counters and
-        // reports start clean; activity carries over via seed.
-        FunctionalEngine seg_engine(cnfa, /*starts=*/true, &s);
-        seg_engine.reset(spec[j].predicted, segs[j].begin);
-        seg_engine.run(input.ptr(segs[j].begin), segs[j].length());
+        // The segment itself, from the prediction (the first segment
+        // needs none: it starts from the StartOfData states).
+        FlowRecord run = std::move(
+            runGoldenSegment(cnfa, input.ptr(segs[j].begin),
+                             segs[j].begin, segs[j].length(), s, nullptr,
+                             nullptr, j == 0 ? nullptr : &spec[j].predicted)
+                .flows.front());
         if (cancel && cancel->cancelled())
-            return false;
-        spec[j].specFinal = seg_engine.snapshot();
-        spec[j].specReports = seg_engine.takeReports();
-        return true;
+            return Status::error(ErrorCode::DeadlineExceeded,
+                                 "speculative segment ", j,
+                                 " cancelled by the watchdog");
+        spec[j].specFinal = std::move(run.finalSnapshot);
+        spec[j].specReports = std::move(run.reports);
+        return Status();
     };
 
-    exec::HardenedExecOptions exec_opt;
-    exec_opt.threads = exec::WorkerPool::resolveThreads(options.threads);
-    result.threadsUsed = exec_opt.threads;
     exec::SegmentPipeline::Options pipe_opt;
-    pipe_opt.exec = exec_opt;
+    pipe_opt.exec.threads =
+        exec::WorkerPool::resolveThreads(options.threads);
     pipe_opt.overlap =
         mode_resolved.value() == PipelineMode::Overlap;
+    result.threadsUsed = pipe_opt.exec.threads;
     exec::SegmentPipeline pipe(
         pipe_opt, segs.size(),
-        [&](std::size_t j,
-            const exec::CancellationToken &cancel) -> Status {
+        [&](std::size_t j, const exec::CancellationToken &cancel) {
             EngineScratch task_scratch(nfa.size());
-            if (!speculate(j, task_scratch, &cancel))
-                return Status::error(ErrorCode::DeadlineExceeded,
-                                     "speculative segment ", j,
-                                     " cancelled by the watchdog");
-            return Status();
+            return speculate(j, task_scratch, &cancel);
         });
     // Awaiting a slot also handles retry exhaustion: the slot is
     // recomputed inline (sequential oracle continuation), so the

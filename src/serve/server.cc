@@ -8,7 +8,6 @@
 
 #include <dirent.h>
 
-#include "engine/functional_engine.h"
 #include "obs/metrics.h"
 #include "pap/composer.h"
 #include "pap/exec/checkpoint.h"
@@ -18,16 +17,6 @@ namespace pap {
 namespace serve {
 
 namespace {
-
-/** Same mix as the runner's checkpoint identity hash. */
-std::uint64_t
-mixId(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    return h ^ (h >> 31);
-}
 
 /**
  * Identity binding a serve checkpoint to one (ruleset, tenant, key)
@@ -47,8 +36,8 @@ serveIdentity(const Nfa &nfa, const std::string &tenant,
 {
     std::uint64_t h = 0x53455256ull; // "SERV"
     for (const char c : nfa.name())
-        h = mixId(h, static_cast<std::uint64_t>(c));
-    h = mixId(h, nfa.size());
+        h = identityMix(h, static_cast<std::uint64_t>(c));
+    h = identityMix(h, nfa.size());
     for (StateId q = 0; q < nfa.size(); ++q) {
         const NfaState &st = nfa[q];
         for (unsigned w = 0; w < 4; ++w) {
@@ -56,19 +45,19 @@ serveIdentity(const Nfa &nfa, const std::string &tenant,
             for (unsigned b = 0; b < 64; ++b)
                 if (st.label.test(static_cast<Symbol>(w * 64 + b)))
                     bits |= std::uint64_t{1} << b;
-            h = mixId(h, bits);
+            h = identityMix(h, bits);
         }
-        h = mixId(h, static_cast<std::uint64_t>(st.start));
-        h = mixId(h, (std::uint64_t{st.reporting} << 32) |
-                         st.reportCode);
+        h = identityMix(h, static_cast<std::uint64_t>(st.start));
+        h = identityMix(h, (std::uint64_t{st.reporting} << 32) |
+                               st.reportCode);
         for (const StateId t : st.succ)
-            h = mixId(h, t);
+            h = identityMix(h, t);
     }
     for (const char c : tenant)
-        h = mixId(h, static_cast<std::uint64_t>(c));
-    h = mixId(h, 0x1F);
+        h = identityMix(h, static_cast<std::uint64_t>(c));
+    h = identityMix(h, 0x1F);
     for (const char c : key)
-        h = mixId(h, static_cast<std::uint64_t>(c));
+        h = identityMix(h, static_cast<std::uint64_t>(c));
     return h;
 }
 
@@ -84,12 +73,13 @@ sanitize(const std::string &name)
     return out;
 }
 
-double
-msSince(std::chrono::steady_clock::time_point t0)
+/** Checkpoint file of the stream (@p tenant, @p key) under @p dir. */
+std::string
+checkpointFile(const std::string &dir, const std::string &tenant,
+               const std::string &key)
 {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return dir + "/" + sanitize(tenant) + "-" + sanitize(key) +
+           ".papckpt";
 }
 
 } // namespace
@@ -110,21 +100,18 @@ struct Server::Chunk
     bool oracle = false;
     /** Execution finished (success or exhausted retries). */
     bool executed = false;
-    /** Retries exhausted; recover from the oracle at compose time. */
-    bool failed = false;
-    std::uint32_t attempts = 0;
-    bool retried = false;
-    std::uint32_t faultsInjected = 0;
-    std::uint32_t batches = 1;
+    /** The attempt ladder's outcome; a failed status means retries
+        ran out and the chunk recovers from the oracle at compose. */
+    exec::TaskReport report;
     FlowPlan plan;
-    SegmentRun run;
+    SegmentExecution ran;
 };
 
 /** One admitted stream. All fields are guarded by Server::mutex_
     except chunk execution state (owned by the executing dispatcher
     until `executed` is published under the lock) and the composition
-    frontier fields (prevFinal, reports, counters), which only the
-    single thread holding `composing` mutates. */
+    frontier, which only the single thread holding `composing`
+    mutates. */
 struct Server::Session
 {
     SessionId id = 0;
@@ -138,21 +125,15 @@ struct Server::Session
     /** Cut chunks awaiting execution/composition (window-bounded). */
     std::deque<std::unique_ptr<Chunk>> chunks;
     std::uint64_t nextChunk = 0;
-    std::uint64_t composedChunks = 0;
     /** Symbols moved from buffer into chunks this process. */
     std::uint64_t symbolsCut = 0;
-    std::uint64_t symbolsFed = 0;
     std::uint64_t symbolsComposed = 0;
     std::uint64_t resumedSymbols = 0;
 
-    std::vector<StateId> prevFinal;
-    std::vector<ReportEvent> reports;
-    std::vector<exec::SegmentCheckpoint> ckptSegments;
-    std::uint64_t papEntries = 0;
-    std::uint64_t flowTransitions = 0;
-    std::uint64_t flowSymbolCycles = 0;
-    std::uint32_t chunksRetried = 0;
-    std::uint32_t chunksRecovered = 0;
+    /** The composition frontier, in checkpoint form: nextSegment
+        counts composed chunks; segments are kept only when the server
+        checkpoints. Its identity is stamped when it is saved. */
+    exec::CheckpointFrontier frontier;
     std::uint32_t consecutiveRecovered = 0;
 
     /** Composed-chunk count at the last (periodic or resume-seeded)
@@ -161,7 +142,6 @@ struct Server::Session
     /** Effective periodic cadence (0 = drain-only). */
     std::uint64_t ckptIntervalChunks = 0;
 
-    bool resumed = false;
     /** Next chunk composes from the oracle (boundary symbol unknown
         after a resume: the checkpoint does not carry it). */
     bool forceOracleNext = false;
@@ -293,9 +273,8 @@ Server::resume(const std::string &tenant, const std::string &key)
     if (key.empty())
         return Status::error(ErrorCode::InvalidInput,
                              "resume needs a stream key");
-    const std::string path = opts_.checkpointDir + "/" +
-                             sanitize(tenant) + "-" + sanitize(key) +
-                             ".papckpt";
+    const std::string path =
+        checkpointFile(opts_.checkpointDir, tenant, key);
     const SessionCoord coord{tenant, key};
     auto loaded = exec::loadCheckpoint(path);
     if (!loaded.ok()) {
@@ -314,55 +293,35 @@ Server::resume(const std::string &tenant, const std::string &key)
             return loaded.status();
         if (loaded.status().code() == ErrorCode::CheckpointCorrupt)
             std::remove(path.c_str());
-        const auto opened = openImpl(tenant, key, -1, false);
-        if (!opened.ok())
-            return opened.status();
-        std::lock_guard<std::mutex> lock(mutex_);
-        const SessionPtr s = findLocked(opened.value());
-        recoveredLive_.erase(coord);
-        ++counters_.resumed;
-        ++counters_.sessionsRecovered;
-        auto &m = obs::metrics();
-        m.add("serve.sessions.resumed");
-        m.add("serve.recovery.sessions_recovered");
-        journalAdmitLocked(*s);
-        return ResumeInfo{s->id, 0};
     }
-    const exec::CheckpointFrontier &frontier = loaded.value();
 
     const auto opened = openImpl(tenant, key, -1, false);
     if (!opened.ok())
         return opened.status();
     std::lock_guard<std::mutex> lock(mutex_);
     const SessionPtr s = findLocked(opened.value());
-    if (frontier.identity !=
-        serveIdentity(s->ruleset->nfa, tenant, key)) {
-        // Undo the admission: the checkpoint belongs to a different
-        // ruleset or stream and must not silently start fresh. The
-        // manifest is left untouched — openImpl did not journal.
-        closeAccountingLocked(*s);
-        sessions_.erase(s->id);
-        --counters_.admitted;
-        return Status::error(ErrorCode::InvalidInput, "checkpoint '",
-                             path,
-                             "' belongs to a different ruleset or "
-                             "stream");
+    if (loaded.ok()) {
+        if (loaded.value().identity !=
+            serveIdentity(s->ruleset->nfa, tenant, key)) {
+            // Undo the admission: the checkpoint belongs to a
+            // different ruleset or stream and must not silently start
+            // fresh. The manifest is left untouched — openImpl did not
+            // journal.
+            closeAccountingLocked(*s);
+            sessions_.erase(s->id);
+            --counters_.admitted;
+            return Status::error(ErrorCode::InvalidInput,
+                                 "checkpoint '", path,
+                                 "' belongs to a different ruleset or "
+                                 "stream");
+        }
+        s->frontier = std::move(loaded.value());
+        s->nextChunk = s->frontier.nextSegment;
+        s->lastCkptChunk = s->frontier.nextSegment;
+        s->forceOracleNext = s->frontier.nextSegment > 0;
+        for (const exec::SegmentCheckpoint &cp : s->frontier.segments)
+            s->resumedSymbols += cp.timing.segLen;
     }
-    s->resumed = true;
-    s->nextChunk = frontier.nextSegment;
-    s->composedChunks = frontier.nextSegment;
-    s->lastCkptChunk = frontier.nextSegment;
-    s->forceOracleNext = frontier.nextSegment > 0;
-    s->prevFinal = frontier.finalActive;
-    s->reports = frontier.reports;
-    s->ckptSegments = frontier.segments;
-    s->papEntries = frontier.papEntries;
-    s->flowTransitions = frontier.flowTransitions;
-    s->flowSymbolCycles = frontier.flowSymbolCycles;
-    s->chunksRetried = frontier.segmentsRetried;
-    s->chunksRecovered = frontier.segmentsRecovered;
-    for (const exec::SegmentCheckpoint &cp : frontier.segments)
-        s->resumedSymbols += cp.timing.segLen;
     ++counters_.resumed;
     auto &m = obs::metrics();
     m.add("serve.sessions.resumed");
@@ -595,9 +554,9 @@ Server::dispatchLoop()
 }
 
 /**
- * Execute one chunk with the hardened attempt ladder: watchdog
+ * Execute one chunk through the shared attempt ladder: watchdog
  * deadline, injected worker faults, capped-exponential retry with
- * seeded jitter. Retries exhausting marks the chunk failed — the
+ * seeded jitter. Retries exhausting leaves the chunk failed — the
  * composer recovers it from the sequential oracle, so a poisoned
  * chunk degrades the stream instead of killing it.
  */
@@ -610,134 +569,29 @@ Server::executeChunk(Session &s, Chunk &chunk)
     if (!chunk.first)
         chunk.plan = buildFlowPlan(rs.nfa, rs.comps, rs.asg,
                                    chunk.boundary, execPap_);
-
-    const std::uint32_t asg_slots = rs.asg.empty() ? 0u : 1u;
-    const std::uint32_t batch_cap = std::max<std::uint32_t>(
-        1, opts_.ap.svcEntriesPerDevice -
-               std::min(opts_.ap.svcEntriesPerDevice - 1, asg_slots));
-
-    FaultInjector *const inj = opts_.pap.faultInjector;
+    const std::uint32_t svc_capacity =
+        resolveSvcCapacity(execPap_, opts_.ap);
     // Worker-fault coordinate: the session id, so a selected session
     // has *every* chunk attempt faulted — that is what drives it up
     // the whole ladder into quarantine, while unselected siblings
     // never see a fault. The jitter index still mixes the chunk so
     // concurrent retries decorrelate.
-    const std::uint64_t coord = s.id;
-    const auto jitter_index = static_cast<std::size_t>(
-        s.id ^ (chunk.index << 20));
-    const std::uint32_t max_attempts = execOpt_.maxRetries + 1;
-    const std::vector<StateId> no_asg;
-
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-        chunk.attempts = attempt + 1;
-        auto fault = FaultInjector::WorkerFault::None;
-        if (inj)
-            fault = inj->onWorkerAttempt(coord, attempt);
-        if (fault != FaultInjector::WorkerFault::None)
-            ++chunk.faultsInjected;
-
-        auto token = std::make_shared<exec::CancellationToken>();
-        const bool armed = execOpt_.deadlineMs > 0.0;
-        exec::Watchdog::Handle handle = 0;
-        if (armed)
-            handle = watchdog_.arm(
-                token, exec::Watchdog::Clock::now() +
-                           std::chrono::microseconds(
-                               static_cast<std::int64_t>(
-                                   execOpt_.deadlineMs * 1000.0)));
-
-        Status status;
-        if (fault == FaultInjector::WorkerFault::Stall) {
-            token->waitCancelledFor(
-                armed ? std::chrono::milliseconds(
-                            static_cast<std::int64_t>(
-                                execOpt_.deadlineMs * 20.0) +
-                            1000)
-                      : std::chrono::milliseconds(25));
-            status = Status::error(ErrorCode::DeadlineExceeded,
-                                   "injected worker stall");
-        } else if (fault == FaultInjector::WorkerFault::Crash) {
-            status = Status::error(ErrorCode::HardwareFault,
-                                   "injected worker crash");
-        } else {
-            EngineScratch scratch(rs.nfa.size());
-            SegmentRun run;
-            std::uint32_t batches = 1;
-            if (chunk.first) {
-                run = runGoldenSegment(*rs.cnfa, chunk.data.data(),
-                                       chunk.begin, chunk.data.size(),
-                                       scratch, nullptr, token.get());
-            } else if (chunk.plan.flows.size() <= batch_cap) {
-                run = runEnumSegment(*rs.cnfa, chunk.plan, rs.asg,
-                                     chunk.data.data(), chunk.begin,
-                                     chunk.data.size(), execPap_,
-                                     scratch, kInvalidFlow,
-                                     token.get());
-            } else {
-                // SVC overflow: run the plan in cache-sized batches
-                // back to back, flow ids global, like the one-shot
-                // runner — the merged run composes unchanged.
-                const FlowPlan &plan = chunk.plan;
-                const auto asg_id =
-                    static_cast<FlowId>(plan.flows.size());
-                run.segBegin = chunk.begin;
-                run.segLen = chunk.data.size();
-                std::uint32_t b = 0;
-                for (std::size_t first = 0;
-                     first < plan.flows.size() && !token->cancelled();
-                     first += batch_cap, ++b) {
-                    const std::size_t last = std::min(
-                        plan.flows.size(),
-                        first + static_cast<std::size_t>(batch_cap));
-                    FlowPlan sub;
-                    sub.flows.assign(plan.flows.begin() +
-                                         static_cast<std::ptrdiff_t>(
-                                             first),
-                                     plan.flows.begin() +
-                                         static_cast<std::ptrdiff_t>(
-                                             last));
-                    SegmentRun part = runEnumSegment(
-                        *rs.cnfa, sub, b == 0 ? rs.asg : no_asg,
-                        chunk.data.data(), chunk.begin,
-                        chunk.data.size(), execPap_, scratch, asg_id,
-                        token.get());
-                    if (b == 0)
-                        run.asgIndex = part.asgIndex;
-                    for (auto &rec : part.flows) {
-                        rec.batch = b;
-                        run.flows.push_back(std::move(rec));
-                    }
-                }
-                batches = std::max(1u, b);
-            }
-            if (token->cancelled()) {
-                status = Status::error(ErrorCode::DeadlineExceeded,
-                                       "chunk ", chunk.index,
-                                       " cancelled by the watchdog");
-            } else {
-                chunk.run = std::move(run);
-                chunk.batches = batches;
-            }
-        }
-        if (armed)
-            watchdog_.disarm(handle);
-
-        if (status.ok()) {
-            if (inj && chunk.faultsInjected > 0 && chunk.retried)
-                inj->markRecovered(chunk.faultsInjected);
-            chunk.failed = false;
-            return;
-        }
-        if (fault != FaultInjector::WorkerFault::None)
-            inj->markDetected(1);
-        chunk.failed = true;
-        if (attempt + 1 < max_attempts) {
-            chunk.retried = true;
-            obs::metrics().add("exec.retry.attempts");
-            std::this_thread::sleep_for(
-                exec::retryBackoff(execOpt_, jitter_index, attempt));
-        }
-    }
+    const auto jitter_index =
+        static_cast<std::size_t>(s.id ^ (chunk.index << 20));
+    chunk.report = exec::runAttempts(
+        execOpt_, watchdog_, s.id, jitter_index,
+        [&](const exec::CancellationToken &cancel) -> Status {
+            SegmentExecution ran = executeSegment(
+                *rs.cnfa, chunk.first ? nullptr : &chunk.plan, rs.asg,
+                chunk.data.data(), chunk.begin, chunk.data.size(),
+                execPap_, svc_capacity, &cancel);
+            if (cancel.cancelled())
+                return Status::error(ErrorCode::DeadlineExceeded,
+                                     "chunk ", chunk.index,
+                                     " cancelled by the watchdog");
+            chunk.ran = std::move(ran);
+            return Status();
+        });
 }
 
 /**
@@ -772,29 +626,30 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
         if (s->done)
             break; // terminated while composing; result discarded
 
-        s->prevFinal = std::move(truth.finalActive);
-        s->reports.insert(s->reports.end(), truth.trueReports.begin(),
-                          truth.trueReports.end());
-        s->papEntries += truth.totalEntries;
-        for (const FlowRecord &rec : chunk->run.flows) {
-            s->flowTransitions += rec.counters.matches;
-            s->flowSymbolCycles += rec.counters.symbols;
+        exec::CheckpointFrontier &f = s->frontier;
+        f.finalActive = std::move(truth.finalActive);
+        f.reports.insert(f.reports.end(), truth.trueReports.begin(),
+                         truth.trueReports.end());
+        f.papEntries += truth.totalEntries;
+        for (const FlowRecord &rec : chunk->ran.run.flows) {
+            f.flowTransitions += rec.counters.matches;
+            f.flowSymbolCycles += rec.counters.symbols;
         }
-        ++s->composedChunks;
+        ++f.nextSegment;
         s->symbolsComposed += chunk->data.size();
         ++counters_.chunksExecuted;
         auto &m = obs::metrics();
         m.add("serve.chunks.executed");
-        if (chunk->retried)
-            ++s->chunksRetried;
+        if (chunk->report.retried)
+            ++f.segmentsRetried;
 
-        const bool recovered = chunk->failed;
+        const bool recovered = !chunk->report.status.ok();
         if (recovered) {
-            ++s->chunksRecovered;
+            ++f.segmentsRecovered;
             ++counters_.chunksRecovered;
             m.add("serve.chunks.recovered");
-            if (inj && chunk->faultsInjected > 0)
-                inj->markRecovered(chunk->faultsInjected);
+            if (inj && chunk->report.faultsInjected > 0)
+                inj->markRecovered(chunk->report.faultsInjected);
             if (++s->consecutiveRecovered >= opts_.quarantineAfter) {
                 ++counters_.quarantined;
                 terminateLocked(
@@ -812,44 +667,12 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
         }
 
         if (!opts_.checkpointDir.empty()) {
-            exec::SegmentCheckpoint cp;
-            cp.timing.segLen = chunk->data.size();
-            cp.timing.totalEntries = truth.totalEntries;
-            cp.timing.aliveEnumFlowsAtEnd = truth.aliveEnumFlowsAtEnd;
-            cp.timing.hasEnumFlows = !chunk->first &&
-                                     !chunk->plan.flows.empty() &&
-                                     !recovered && !chunk->oracle;
-            cp.timing.numBatches = chunk->batches;
-            cp.timing.batchReloadCycles =
-                opts_.ap.timing.stateVectorUploadCycles;
-            for (const FlowRecord &rec : chunk->run.flows) {
-                FlowTimingInfo info;
-                info.kind = rec.kind;
-                info.symbolsProcessed = rec.symbolsProcessed;
-                info.batch = rec.batch;
-                info.isTrue =
-                    rec.kind != FlowKind::Enum ||
-                    (rec.id < truth.flowTrue.size() &&
-                     truth.flowTrue[rec.id] != 0);
-                cp.timing.flows.push_back(info);
-                if (rec.kind != FlowKind::Enum)
-                    continue;
-                switch (rec.cause) {
-                case DeathCause::Deactivated:
-                    ++cp.deactivated;
-                    break;
-                case DeathCause::Converged:
-                    ++cp.converged;
-                    break;
-                case DeathCause::RanToEnd:
-                    ++cp.ranToEnd;
-                    break;
-                }
-            }
-            for (const auto t : truth.pathTrue)
-                cp.truePaths += t;
-            cp.recovered = recovered || chunk->oracle;
-            s->ckptSegments.push_back(std::move(cp));
+            f.segments.push_back(recordSegment(
+                chunk->ran.run, truth,
+                !chunk->first && !chunk->plan.flows.empty() &&
+                    !recovered && !chunk->oracle,
+                recovered || chunk->oracle, chunk->ran.batches,
+                opts_.ap.timing.stateVectorUploadCycles));
 
             // Periodic incremental checkpoint: snapshot the frontier
             // under the lock, hand the (possibly large) serialization
@@ -857,10 +680,10 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
             // pays only the copy, so clean-run latency is unchanged,
             // and a kill -9 replays at most ckptIntervalChunks chunks.
             if (!s->key.empty() && s->ckptIntervalChunks > 0 &&
-                s->composedChunks - s->lastCkptChunk >=
+                f.nextSegment - s->lastCkptChunk >=
                     s->ckptIntervalChunks) {
-                enqueuePeriodicCheckpointLocked(*s);
-                s->lastCkptChunk = s->composedChunks;
+                enqueueCkptOp(checkpointOpLocked(*s));
+                s->lastCkptChunk = f.nextSegment;
             }
         }
 
@@ -876,33 +699,20 @@ SegmentTruth
 Server::composeChunk(Session &s, Chunk &chunk)
 {
     const CompiledRuleset &rs = *s.ruleset;
-    if (chunk.oracle || chunk.failed) {
+    if (chunk.oracle || !chunk.report.status.ok()) {
         // Sequential continuation from the composition frontier,
         // exactly like the one-shot runner's recovery path.
-        EngineScratch scratch(rs.nfa.size());
-        FunctionalEngine engine(*rs.cnfa, /*starts=*/true, &scratch);
-        engine.reset(chunk.first ? rs.cnfa->initialActive()
-                                 : s.prevFinal,
-                     chunk.begin);
-        engine.run(chunk.data.data(), chunk.data.size());
-        FlowRecord rec;
-        rec.id = 0;
-        rec.kind = FlowKind::Golden;
-        rec.symbolsProcessed = chunk.data.size();
-        rec.cause = DeathCause::RanToEnd;
-        rec.finalSnapshot = engine.snapshot();
-        rec.counters = engine.counters();
-        rec.reports = engine.takeReports();
-        chunk.run = SegmentRun{};
-        chunk.run.segBegin = chunk.begin;
-        chunk.run.segLen = chunk.data.size();
-        chunk.run.flows.push_back(std::move(rec));
-        return composeGolden(chunk.run);
+        EngineScratch scratch(rs.cnfa->size());
+        chunk.ran.run = runGoldenSegment(
+            *rs.cnfa, chunk.data.data(), chunk.begin, chunk.data.size(),
+            scratch, nullptr, nullptr,
+            chunk.first ? nullptr : &s.frontier.finalActive);
+        return composeGolden(chunk.ran.run);
     }
     if (chunk.first)
-        return composeGolden(chunk.run);
-    return composeEnum(*rs.cnfa, rs.comps, chunk.plan, chunk.run,
-                       s.prevFinal);
+        return composeGolden(chunk.ran.run);
+    return composeEnum(*rs.cnfa, rs.comps, chunk.plan, chunk.ran.run,
+                       s.frontier.finalActive);
 }
 
 void
@@ -946,7 +756,6 @@ Server::feedImpl(SessionId id, const Symbol *data, std::size_t len,
             return Status();
         }
         s->buffer.insert(s->buffer.end(), data, data + len);
-        s->symbolsFed += len;
         for (;;) {
             cutLocked(*s, /*flush=*/false, &slow);
             pumpLocked();
@@ -988,20 +797,31 @@ Server::tryFeed(SessionId id, const Symbol *data, std::size_t len)
     return accepted;
 }
 
-SessionReport
-Server::buildReportLocked(Session &s)
+void
+Server::closeInputLocked(Session &s)
 {
-    SessionReport report;
-    report.reports = s.reports;
-    sortAndDedupReports(report.reports);
-    report.symbols = s.symbolsComposed;
-    report.chunks = s.composedChunks;
-    report.chunksRetried = s.chunksRetried;
-    report.chunksRecovered = s.chunksRecovered;
-    report.generation = s.ruleset->generation;
-    report.resumedSymbols = s.resumedSymbols;
-    report.latencyMs = msSince(s.openedAt);
-    return report;
+    s.finRequested = true;
+    cutLocked(s, /*flush=*/true, nullptr);
+    pumpLocked();
+    finalizeLocked(s);
+}
+
+Status
+Server::releaseLocked(Session &s, SessionReport *out)
+{
+    sessions_.erase(s.id);
+    if (!s.status.ok() || !out)
+        return s.status;
+    out->reports = s.frontier.reports;
+    sortAndDedupReports(out->reports);
+    out->symbols = s.symbolsComposed;
+    out->chunks = s.frontier.nextSegment;
+    out->chunksRetried = s.frontier.segmentsRetried;
+    out->chunksRecovered = s.frontier.segmentsRecovered;
+    out->generation = s.ruleset->generation;
+    out->resumedSymbols = s.resumedSymbols;
+    out->latencyMs = msSince(s.openedAt);
+    return Status();
 }
 
 Result<SessionReport>
@@ -1017,19 +837,13 @@ Server::finish(SessionId id)
             return Status::error(ErrorCode::InvalidInput,
                                  "unknown session ", id);
         checkDeadlineLocked(*s);
-        s->finRequested = true;
-        cutLocked(*s, /*flush=*/true, nullptr);
-        pumpLocked();
-        finalizeLocked(*s);
+        closeInputLocked(*s);
     }
     drainPendingSwap();
     std::unique_lock<std::mutex> lock(mutex_);
     doneCv_.wait(lock, [&] { return s->done; });
-    const Status st = s->status;
     SessionReport report;
-    if (st.ok())
-        report = buildReportLocked(*s);
-    sessions_.erase(id);
+    const Status st = releaseLocked(*s, &report);
     if (!st.ok())
         return st;
     return report;
@@ -1046,18 +860,11 @@ Server::tryFinish(SessionId id, SessionReport *out)
         return Status::error(ErrorCode::InvalidInput,
                              "unknown session ", id);
     checkDeadlineLocked(*s);
-    if (!s->done) {
-        s->finRequested = true;
-        cutLocked(*s, /*flush=*/true, nullptr);
-        pumpLocked();
-        finalizeLocked(*s);
-    }
+    if (!s->done)
+        closeInputLocked(*s);
     if (!s->done)
         return false;
-    const Status st = s->status;
-    if (st.ok() && out)
-        *out = buildReportLocked(*s);
-    sessions_.erase(id);
+    const Status st = releaseLocked(*s, out);
     if (!st.ok())
         return st;
     return true;
@@ -1125,43 +932,34 @@ Server::drainPendingSwap()
 std::string
 Server::checkpointPath(const Session &s) const
 {
-    return opts_.checkpointDir + "/" + sanitize(s.tenant) + "-" +
-           sanitize(s.key) + ".papckpt";
+    return checkpointFile(opts_.checkpointDir, s.tenant, s.key);
 }
 
-exec::CheckpointFrontier
-Server::buildFrontierLocked(const Session &s) const
+Server::CkptOp
+Server::checkpointOpLocked(const Session &s) const
 {
-    exec::CheckpointFrontier frontier;
-    frontier.identity = serveIdentity(s.ruleset->nfa, s.tenant, s.key);
-    frontier.nextSegment =
-        static_cast<std::uint32_t>(s.composedChunks);
-    frontier.finalActive = s.prevFinal;
-    frontier.reports = s.reports;
-    frontier.papEntries = s.papEntries;
-    frontier.flowTransitions = s.flowTransitions;
-    frontier.flowSymbolCycles = s.flowSymbolCycles;
-    frontier.segmentsRetried = s.chunksRetried;
-    frontier.segmentsRecovered = s.chunksRecovered;
-    frontier.segments = s.ckptSegments;
-    return frontier;
+    CkptOp op;
+    op.path = checkpointPath(s);
+    op.frontier = s.frontier;
+    op.frontier.identity =
+        serveIdentity(s.ruleset->nfa, s.tenant, s.key);
+    op.record.kind = ManifestRecordKind::CheckpointWritten;
+    op.record.symbols = s.resumedSymbols + s.symbolsComposed;
+    op.record.chunks = s.frontier.nextSegment;
+    op.record.tenant = s.tenant;
+    op.record.key = s.key;
+    return op;
 }
 
 Status
 Server::checkpointLocked(Session &s)
 {
-    const Status saved = exec::saveCheckpoint(checkpointPath(s),
-                                              buildFrontierLocked(s));
+    const CkptOp op = checkpointOpLocked(s);
+    const Status saved = exec::saveCheckpoint(op.path, op.frontier);
     if (saved.ok()) {
         ++counters_.checkpointed;
         obs::metrics().add("serve.sessions.checkpointed");
-        ManifestRecord rec;
-        rec.kind = ManifestRecordKind::CheckpointWritten;
-        rec.symbols = s.resumedSymbols + s.symbolsComposed;
-        rec.chunks = s.composedChunks;
-        rec.tenant = s.tenant;
-        rec.key = s.key;
-        appendManifest(rec);
+        appendManifest(op.record);
     }
     return saved;
 }
@@ -1201,21 +999,6 @@ Server::journalCompleteLocked(const Session &s)
     op.kind = CkptOp::Kind::Complete;
     op.path = checkpointPath(s);
     op.record.kind = ManifestRecordKind::Complete;
-    op.record.tenant = s.tenant;
-    op.record.key = s.key;
-    enqueueCkptOp(std::move(op));
-}
-
-void
-Server::enqueuePeriodicCheckpointLocked(const Session &s)
-{
-    CkptOp op;
-    op.kind = CkptOp::Kind::Save;
-    op.path = checkpointPath(s);
-    op.frontier = buildFrontierLocked(s);
-    op.record.kind = ManifestRecordKind::CheckpointWritten;
-    op.record.symbols = s.resumedSymbols + s.symbolsComposed;
-    op.record.chunks = s.composedChunks;
     op.record.tenant = s.tenant;
     op.record.key = s.key;
     enqueueCkptOp(std::move(op));
@@ -1367,13 +1150,11 @@ Server::recoverColdStart(const Nfa &ruleset)
     // ruleset. A corrupt file is removed (the session falls back to
     // a fresh re-feed); an identity mismatch is kept on disk so
     // resume() can reject it typed.
-    std::set<std::string> liveFiles;
+    std::set<std::string> livePaths;
     for (const auto &entry : replay.live) {
-        const std::string file = sanitize(entry.first.first) + "-" +
-                                 sanitize(entry.first.second) +
-                                 ".papckpt";
-        liveFiles.insert(file);
-        const std::string path = opts_.checkpointDir + "/" + file;
+        const std::string path = checkpointFile(
+            opts_.checkpointDir, entry.first.first, entry.first.second);
+        livePaths.insert(path);
         auto loaded = exec::loadCheckpoint(path);
         bool resumable = true;
         if (loaded.ok()) {
@@ -1400,9 +1181,10 @@ Server::recoverColdStart(const Nfa &ruleset)
     // authorize deletions — with none, directory contents are kept.
     if (journalReadable && hadManifest) {
         for (const std::string &name : entries) {
-            if (!hasSuffix(name, ".papckpt") || liveFiles.count(name))
+            const std::string path = opts_.checkpointDir + "/" + name;
+            if (!hasSuffix(name, ".papckpt") || livePaths.count(path))
                 continue;
-            std::remove((opts_.checkpointDir + "/" + name).c_str());
+            std::remove(path.c_str());
             ++counters_.staleCheckpointsRemoved;
             m.add("serve.recovery.stale_checkpoints_removed");
         }

@@ -325,9 +325,15 @@ class Server
     void composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s);
     SegmentTruth composeChunk(Session &s, Chunk &chunk);
     void finalizeLocked(Session &s);
-    SessionReport buildReportLocked(Session &s);
+    /** Close @p s's input: cut the rest of its buffer into chunks. */
+    void closeInputLocked(Session &s);
+    /** Forget a finished session; its report goes to @p out (if
+        non-null) when it completed OK. Returns its final status. */
+    Status releaseLocked(Session &s, SessionReport *out);
     std::string checkpointPath(const Session &s) const;
-    exec::CheckpointFrontier buildFrontierLocked(const Session &s) const;
+    /** Snapshot @p s's frontier as a checkpoint save with its
+        manifest record. */
+    CkptOp checkpointOpLocked(const Session &s) const;
     Status checkpointLocked(Session &s);
     void drainPendingSwap();
 
@@ -341,8 +347,6 @@ class Server
     void journalAdmitLocked(const Session &s);
     /** Journal Complete + remove the checkpoint file (writer thread). */
     void journalCompleteLocked(const Session &s);
-    /** Queue a periodic checkpoint of @p s for the writer thread. */
-    void enqueuePeriodicCheckpointLocked(const Session &s);
     void enqueueCkptOp(CkptOp op);
     /** Block until every queued writer op has been processed. */
     void flushCkptOps();

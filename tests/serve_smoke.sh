@@ -3,10 +3,12 @@
 # stream results byte-identical to one-shot runs, concurrent clients,
 # ctl verbs (ping/stats/weight/swap), typed shedding at the admission
 # cap, injected client faults, and SIGTERM drain -> checkpoint ->
-# resume. Registered with CTest (label "serve"); $1 is papsim.
+# resume, plus the daemon's --metrics-json dump. Registered with CTest
+# (label "serve"); $1 is papsim, $2 the repo root.
 set -euo pipefail
 
 PAPSIM="$1"
+REPO_ROOT="$2"
 WORK="$(mktemp -d)"
 DAEMON_PID=""
 cleanup() {
@@ -52,7 +54,7 @@ if "$PAPSIM" ctl "$SOCK" ping 2>/dev/null; then exit 1; fi
     | grep "^  match" > expected.txt
 
 "$PAPSIM" serve m.nfa --socket="$SOCK" --threads=4 --chunk=4096 \
-    > daemon.log 2>&1 &
+    --metrics-json="$WORK/serve_metrics.json" > daemon.log 2>&1 &
 DAEMON_PID=$!
 wait_for_daemon
 
@@ -99,6 +101,18 @@ wait "$DAEMON_PID"
 grep -q "drained" daemon.log
 test ! -S "$SOCK"
 DAEMON_PID=""
+
+# The drained daemon's metrics dump matches the schema and carries the
+# attempt ladder's census: every chunk ran through exec::runAttempts.
+python3 "$REPO_ROOT/scripts/check_metrics_schema.py" serve_metrics.json
+python3 - <<'PY'
+import json
+m = json.load(open("serve_metrics.json"))
+assert m["counters"]["exec.pool.tasks"] > 0, sorted(m["counters"])
+assert m["histograms"]["exec.task.attempts"]["count"] > 0, \
+    sorted(m["histograms"])
+assert m["counters"]["serve.chunks.executed"] > 0, sorted(m["counters"])
+PY
 
 # --- Admission shedding and injected client faults -------------------
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests of the hardened-execution primitives: WorkerPool,
- * CancellationToken, Watchdog, the runHardened retry/deadline driver,
- * and the checkpoint file format (roundtrip, corruption, identity).
+ * CancellationToken, Watchdog, the runAttempts retry/deadline ladder
+ * (alone and under a barrier-mode SegmentPipeline), and the checkpoint
+ * file format (roundtrip, corruption, identity).
  */
 
 #include <gtest/gtest.h>
@@ -276,7 +277,21 @@ TEST(Watchdog, DisarmedAttemptIsNeverCancelled)
     EXPECT_EQ(dog.expiries(), 0u);
 }
 
-// --- runHardened -----------------------------------------------------
+// --- Attempt ladder (runAttempts, barrier SegmentPipeline) -----------
+
+/** Every task's report from a barrier-mode pipeline, in index order. */
+std::vector<TaskReport>
+runBarrier(const HardenedExecOptions &options, std::size_t count,
+           const TaskFn &fn)
+{
+    SegmentPipeline::Options popt;
+    popt.exec = options;
+    SegmentPipeline pipe(popt, count, fn);
+    std::vector<TaskReport> reports;
+    for (std::size_t i = 0; i < count; ++i)
+        reports.push_back(pipe.await(i));
+    return reports;
+}
 
 TEST(RunHardened, ReportsInIndexOrderForAnyThreadCount)
 {
@@ -284,7 +299,7 @@ TEST(RunHardened, ReportsInIndexOrderForAnyThreadCount)
         HardenedExecOptions opt;
         opt.threads = threads;
         std::vector<std::size_t> slot(16, 0);
-        const auto reports = runHardened(
+        const auto reports = runBarrier(
             opt, slot.size(),
             [&](std::size_t i, const CancellationToken &) {
                 slot[i] = i + 1;
@@ -310,7 +325,7 @@ TEST(RunHardened, RetriesTransientFailureWithBackoff)
     std::vector<std::atomic<std::uint32_t>> tries(4);
     for (auto &t : tries)
         t.store(0);
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, tries.size(),
         [&](std::size_t i, const CancellationToken &) {
             // Odd tasks fail on their first attempt only.
@@ -336,16 +351,16 @@ TEST(RunHardened, SurfacesTerminalFailureAfterRetriesExhaust)
     HardenedExecOptions opt;
     opt.maxRetries = 3;
     opt.backoffBaseMs = 0;
-    const auto reports = runHardened(
-        opt, 1, [&](std::size_t, const CancellationToken &) {
-            return Status::error(ErrorCode::HardwareFault,
-                                 "permanent");
+    Watchdog dog;
+    const TaskReport report =
+        runAttempts(opt, dog, 0, 0, [&](const CancellationToken &) {
+            return Status::error(ErrorCode::HardwareFault, "permanent");
         });
-    EXPECT_FALSE(reports[0].status.ok());
-    EXPECT_EQ(reports[0].status.code(), ErrorCode::HardwareFault);
-    EXPECT_EQ(reports[0].attempts, 4u);
-    EXPECT_TRUE(reports[0].retried);
-    EXPECT_TRUE(reports[0].crashed);
+    EXPECT_FALSE(report.status.ok());
+    EXPECT_EQ(report.status.code(), ErrorCode::HardwareFault);
+    EXPECT_EQ(report.attempts, 4u);
+    EXPECT_TRUE(report.retried);
+    EXPECT_TRUE(report.crashed);
 }
 
 TEST(RunHardened, WatchdogCancelsStalledTaskThenRetrySucceeds)
@@ -355,8 +370,9 @@ TEST(RunHardened, WatchdogCancelsStalledTaskThenRetrySucceeds)
     opt.deadlineMs = 10.0;
     opt.backoffBaseMs = 0;
     std::atomic<std::uint32_t> tries{0};
-    const auto reports = runHardened(
-        opt, 1, [&](std::size_t, const CancellationToken &cancel) {
+    Watchdog dog;
+    const TaskReport report =
+        runAttempts(opt, dog, 0, 0, [&](const CancellationToken &cancel) {
             if (tries.fetch_add(1) == 0) {
                 // Stall: park until the watchdog cancels us.
                 EXPECT_TRUE(cancel.waitCancelledFor(
@@ -366,24 +382,25 @@ TEST(RunHardened, WatchdogCancelsStalledTaskThenRetrySucceeds)
             }
             return Status();
         });
-    EXPECT_TRUE(reports[0].status.ok());
-    EXPECT_TRUE(reports[0].timedOut);
-    EXPECT_TRUE(reports[0].retried);
-    EXPECT_EQ(reports[0].attempts, 2u);
+    EXPECT_TRUE(report.status.ok());
+    EXPECT_TRUE(report.timedOut);
+    EXPECT_TRUE(report.retried);
+    EXPECT_EQ(report.attempts, 2u);
+    EXPECT_EQ(dog.expiries(), 1u);
 }
 
 TEST(RunHardened, CaughtExceptionBecomesHardwareFault)
 {
     HardenedExecOptions opt;
     opt.maxRetries = 0;
-    const auto reports = runHardened(
-        opt, 1,
-        [&](std::size_t, const CancellationToken &) -> Status {
+    Watchdog dog;
+    const TaskReport report = runAttempts(
+        opt, dog, 0, 0, [&](const CancellationToken &) -> Status {
             throw std::runtime_error("boom");
         });
-    EXPECT_FALSE(reports[0].status.ok());
-    EXPECT_EQ(reports[0].status.code(), ErrorCode::HardwareFault);
-    EXPECT_TRUE(reports[0].crashed);
+    EXPECT_FALSE(report.status.ok());
+    EXPECT_EQ(report.status.code(), ErrorCode::HardwareFault);
+    EXPECT_TRUE(report.crashed);
 }
 
 TEST(RunHardened, InjectedStallRecoversOnRetry)
@@ -397,7 +414,7 @@ TEST(RunHardened, InjectedStallRecoversOnRetry)
     opt.deadlineMs = 10.0;
     opt.backoffBaseMs = 0;
     opt.injector = &fi;
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, 6,
         [&](std::size_t, const CancellationToken &) {
             return Status();
@@ -430,7 +447,7 @@ TEST(RunHardened, InjectedCrashBeyondRetriesIsTerminal)
     opt.maxRetries = 2;
     opt.backoffBaseMs = 0;
     opt.injector = &fi;
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, 2,
         [&](std::size_t, const CancellationToken &) {
             return Status();
@@ -459,7 +476,7 @@ TEST(RunHardened, WorkerFaultSetIsThreadCountInvariant)
         opt.maxRetries = 1;
         opt.backoffBaseMs = 0;
         opt.injector = &fi;
-        const auto reports = runHardened(
+        const auto reports = runBarrier(
             opt, 32,
             [&](std::size_t, const CancellationToken &) {
                 return Status();
@@ -471,6 +488,39 @@ TEST(RunHardened, WorkerFaultSetIsThreadCountInvariant)
     }
     EXPECT_EQ(per_thread_faults[0], per_thread_faults[1]);
     EXPECT_EQ(per_thread_faults[0], per_thread_faults[2]);
+}
+
+TEST(RunAttempts, FaultCoordinateAloneSelectsFaultedTasks)
+{
+    // Serve faults every chunk of a selected session: the fault
+    // coordinate is the session, the jitter index also mixes in the
+    // chunk. Selection must follow the coordinate only.
+    std::vector<std::uint32_t> by_coord[2];
+    for (int variant = 0; variant < 2; ++variant) {
+        auto made = FaultInjector::fromSpec("crash-worker:32:0.5", 7);
+        ASSERT_TRUE(made.ok());
+        FaultInjector fi = made.value();
+        HardenedExecOptions opt;
+        opt.maxRetries = 0;
+        opt.injector = &fi;
+        Watchdog dog;
+        for (std::uint64_t coord = 0; coord < 16; ++coord) {
+            const std::size_t jitter =
+                variant == 0 ? coord : coord ^ (std::size_t{5} << 20);
+            by_coord[variant].push_back(
+                runAttempts(opt, dog, coord, jitter,
+                            [](const CancellationToken &) {
+                                return Status();
+                            })
+                    .faultsInjected);
+        }
+    }
+    EXPECT_EQ(by_coord[0], by_coord[1]);
+    std::uint32_t faulted = 0;
+    for (const std::uint32_t f : by_coord[0])
+        faulted += f;
+    EXPECT_GT(faulted, 0u);
+    EXPECT_LT(faulted, 16u);
 }
 
 // --- Checkpoint ------------------------------------------------------

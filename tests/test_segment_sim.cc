@@ -55,6 +55,31 @@ TEST(SegmentSim, GoldenSegmentMatchesSequentialActivity)
     EXPECT_EQ(rec.reports[1].offset, 4u);
 }
 
+TEST(SegmentSim, GoldenFromStartSetContinuesTheTruePath)
+{
+    // The oracle continuation: a golden flow seeded with the first
+    // half's final active set reproduces the second half of one
+    // unbroken golden run, reports and final set alike.
+    SimFixture f({{"ab.*cd", 1}, {"bc", 2}});
+    const InputTrace t = InputTrace::fromString("xabxxbcxcdabcdxbc");
+    const std::uint64_t cut = 8;
+    const SegmentRun whole = runGoldenSegment(*f.cnfa, t.begin(), 0,
+                                              t.size(), *f.scratch);
+    const SegmentRun head =
+        runGoldenSegment(*f.cnfa, t.begin(), 0, cut, *f.scratch);
+    const SegmentRun tail = runGoldenSegment(
+        *f.cnfa, t.ptr(cut), cut, t.size() - cut, *f.scratch, nullptr,
+        nullptr, &head.flows[0].finalSnapshot);
+
+    std::vector<ReportEvent> joined = head.flows[0].reports;
+    joined.insert(joined.end(), tail.flows[0].reports.begin(),
+                  tail.flows[0].reports.end());
+    EXPECT_FALSE(tail.flows[0].reports.empty());
+    EXPECT_EQ(joined, whole.flows[0].reports);
+    EXPECT_EQ(tail.flows[0].finalSnapshot, whole.flows[0].finalSnapshot);
+    EXPECT_EQ(tail.flows[0].symbolsProcessed, t.size() - cut);
+}
+
 TEST(SegmentSim, EnumFlowDeactivatesAtEarlyCheck)
 {
     SimFixture f({{"abcd", 1}});

@@ -959,6 +959,41 @@ TEST(Serve, ResumeRejectsCheckpointFromSwappedGeneration)
     ASSERT_TRUE(report.ok()) << report.status().toString();
 }
 
+TEST(Serve, SvcOverflowChunksBatchAndMatchOneShot)
+{
+    // One component with two stars: later chunks plan two enumeration
+    // flows plus the ASG flow, so a two-entry SVC holds one flow per
+    // batch and every such chunk runs in two batches.
+    const Nfa nfa = compileRuleset({{"ab.*cd.*ef", 1}}, "overflow");
+    Rng rng(64);
+    const InputTrace trace = randomTextTrace(rng, 8192, "abcdefgh");
+    const auto expected = sequentialReports(nfa, trace);
+    ServeOptions opt = smallOptions();
+    opt.pap.svcCapacity = 2;
+    opt.checkpointDir = freshDir("serve_overflow");
+
+    Server server(opt, nfa);
+    const auto report = streamAll(server, "t", trace, 1000);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    EXPECT_EQ(report.value().reports, expected)
+        << "batched chunks must report exactly the one-shot matches";
+    EXPECT_EQ(report.value().chunksRecovered, 0u);
+
+    // A keyed stream drained mid-way records the batches it ran.
+    const auto id = server.open("t", "ov");
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(server.feed(id.value(), trace.ptr(0), 6000).ok());
+    ASSERT_TRUE(server.drain().ok());
+    const auto frontier =
+        exec::loadCheckpoint(opt.checkpointDir + "/t-ov.papckpt");
+    ASSERT_TRUE(frontier.ok()) << frontier.status().toString();
+    ASSERT_GT(frontier.value().segments.size(), 1u);
+    std::uint32_t batched = 0;
+    for (const exec::SegmentCheckpoint &cp : frontier.value().segments)
+        batched += cp.timing.numBatches > 1 ? 1 : 0;
+    EXPECT_GT(batched, 0u) << "no chunk ran in more than one batch";
+}
+
 } // namespace
 } // namespace serve
 } // namespace pap
