@@ -1,7 +1,9 @@
 /**
  * @file
  * google-benchmark micro-benchmarks for the simulation substrate:
- * functional-engine symbol throughput, bit-vector operations,
+ * functional-engine symbol throughput (a start-mode golden flow on
+ * Snort, and SPM enumeration flows, which carry thousands of
+ * self-looping gap states), bit-vector operations,
  * character-class tests, flow-plan construction, and the range
  * analysis. These bound the wall-clock cost of the figure harnesses.
  */
@@ -14,6 +16,7 @@
 #include "engine/functional_engine.h"
 #include "nfa/analysis.h"
 #include "pap/flow_plan.h"
+#include "pap/partitioner.h"
 #include "workloads/benchmarks.h"
 #include "workloads/trace_gen.h"
 
@@ -53,6 +56,46 @@ BM_EngineThroughput(benchmark::State &state)
         static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_EngineThroughput)->Unit(benchmark::kMillisecond);
+
+/**
+ * SPM enumeration flows over one benchmark-trace segment: the 128 KiB
+ * seed-1 benchmark trace is cut into 32 segments at the partitioner's
+ * boundary symbol, and every flow of segment 1's FlowPlan (start
+ * machinery off, seeded from the plan) runs over that segment. No
+ * convergence or deactivation: this is the engine layer alone.
+ * Throughput counts flow-symbols (flows x segment length).
+ */
+void
+BM_EnumFlowThroughput(benchmark::State &state)
+{
+    static const Nfa nfa = buildBenchmark("SPM");
+    static const InputTrace trace =
+        buildBenchmarkTrace(nfa, "SPM", 128 * 1024, 1);
+    const CompiledNfa cnfa(nfa);
+    const PartitionProfile profile =
+        choosePartitionSymbol(RangeAnalysis(nfa), trace, 32);
+    const std::vector<Segment> segs =
+        partitionInput(trace, profile.symbol, 32);
+    const Segment &seg = segs.at(1);
+    const FlowPlan plan =
+        buildFlowPlan(nfa, connectedComponents(nfa),
+                      alwaysActiveStates(nfa), trace[seg.begin - 1],
+                      PapOptions{});
+    EngineScratch scratch(cnfa.size());
+    std::uint64_t flow_symbols = 0;
+    for (auto _ : state) {
+        for (const FlowSpec &spec : plan.flows) {
+            FunctionalEngine engine(cnfa, /*starts=*/false, &scratch);
+            engine.reset(spec.seed, seg.begin);
+            engine.run(trace.ptr(seg.begin), seg.length());
+            benchmark::DoNotOptimize(engine.activeCount());
+            flow_symbols += seg.length();
+        }
+    }
+    state.counters["flows"] = static_cast<double>(plan.flows.size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(flow_symbols));
+}
+BENCHMARK(BM_EnumFlowThroughput)->Unit(benchmark::kMillisecond);
 
 void
 BM_BitVectorUnion(benchmark::State &state)

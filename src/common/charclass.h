@@ -9,6 +9,8 @@
 #define PAP_COMMON_CHARCLASS_H
 
 #include <array>
+#include <bit>
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -82,6 +84,9 @@ class CharClass
 
     bool operator==(const CharClass &other) const = default;
 
+    /** Total order on the bitmap (lets a class key an ordered map). */
+    auto operator<=>(const CharClass &other) const = default;
+
     /**
      * Render as a compact, regex-like string ("a", "[a-fx]", "*", "[]")
      * for debugging and serialization.
@@ -99,6 +104,27 @@ class CharClass
 
     /** All member symbols in ascending order. */
     std::vector<Symbol> toSymbols() const;
+
+    /** Number of members below @p s (the rank of @p s in the class). */
+    int
+    rank(Symbol s) const
+    {
+        int r = 0;
+        for (int w = 0; w < (s >> 6); ++w)
+            r += std::popcount(words[w]);
+        return r + std::popcount(words[s >> 6] &
+                                 ((std::uint64_t{1} << (s & 63)) - 1));
+    }
+
+    /** Call @p fn(Symbol) for every member in ascending order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (int w = 0; w < 4; ++w)
+            for (std::uint64_t bits = words[w]; bits; bits &= bits - 1)
+                fn(static_cast<Symbol>(w * 64 + std::countr_zero(bits)));
+    }
 
   private:
     std::array<std::uint64_t, 4> words;

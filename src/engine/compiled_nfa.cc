@@ -1,6 +1,7 @@
 #include "engine/compiled_nfa.h"
 
 #include <algorithm>
+#include <map>
 
 #include "common/logging.h"
 
@@ -60,6 +61,45 @@ CompiledNfa::CompiledNfa(const Nfa &source_nfa) : nfa(source_nfa)
         std::sort(v.begin(), v.end());
         v.erase(std::unique(v.begin(), v.end()), v.end());
     }
+
+    // Self-loop states, grouped by label, and the states they hold.
+    selfLoopStates.assign(n, false);
+    holdableStates.assign(n, false);
+    feedsHoldableStates.assign(n, false);
+    std::map<CharClass, std::uint32_t> group_of_label;
+    for (StateId q = 0; q < n; ++q) {
+        const auto &succ = nfa[q].succ;
+        if (std::find(succ.begin(), succ.end(), q) == succ.end())
+            continue;
+        const auto [it, fresh] = group_of_label.emplace(
+            labels[q], static_cast<std::uint32_t>(loopLabels.size()));
+        if (fresh)
+            loopLabels.push_back(labels[q]);
+        selfLoopStates[q] = true;
+        loopStateIds.push_back(q);
+        loopStateGroups.push_back(it->second);
+        for (const StateId t : succ)
+            holdableStates[t] = true;
+    }
+    for (StateId q = 0; q < n; ++q)
+        for (const StateId t : nfa[q].succ)
+            if (holdableStates[t])
+                feedsHoldableStates[q] = true;
+    for (int sym = 0; sym < kAlphabetSize; ++sym)
+        for (const StateId t : startNext[sym])
+            if (holdableStates[t])
+                startHoldSymbols.set(static_cast<Symbol>(sym));
+}
+
+std::uint32_t
+CompiledNfa::loopGroup(StateId q) const
+{
+    const auto it =
+        std::lower_bound(loopStateIds.begin(), loopStateIds.end(), q);
+    PAP_ASSERT(it != loopStateIds.end() && *it == q, "state ", q,
+               " has no self-loop");
+    return loopStateGroups[static_cast<std::size_t>(
+        it - loopStateIds.begin())];
 }
 
 } // namespace pap

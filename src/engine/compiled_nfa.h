@@ -1,9 +1,10 @@
 /**
  * @file
  * Execution-oriented flattening of an Nfa: CSR successor arrays,
- * contiguous labels, and per-symbol pre-computation of the activity
- * contributed by AllInput start states. Immutable; shared by any
- * number of engine instances (one per flow).
+ * contiguous labels, per-symbol pre-computation of the activity
+ * contributed by AllInput start states, and the self-loop states
+ * grouped by label (the kill lists of a flow's always-on states).
+ * Immutable; shared by any number of engine instances (one per flow).
  */
 
 #ifndef PAP_ENG_COMPILED_NFA_H
@@ -80,6 +81,48 @@ class CompiledNfa
         return startMatches[s];
     }
 
+    /** True if @p q has a self-edge. */
+    bool selfLoop(StateId q) const { return selfLoopStates[q]; }
+
+    /**
+     * Self-loop group of @p q, which must have a self-edge. Self-loop
+     * states with equal labels share a group, so one label test
+     * decides for all of them whether a symbol keeps them alive: the
+     * kill list of symbol s is every group whose label lacks s (for
+     * SPM's gap states, only '\r').
+     */
+    std::uint32_t loopGroup(StateId q) const;
+
+    /** Label shared by the states of self-loop group @p g. */
+    const CharClass &loopLabel(std::uint32_t g) const
+    {
+        return loopLabels[g];
+    }
+
+    /** Number of states with a self-loop. */
+    std::size_t loopStates() const { return loopStateIds.size(); }
+
+    /**
+     * True if @p q can ever be persistent or held: it has a self-loop
+     * or is the successor of a state that does. Other states never
+     * need a hold-index lookup.
+     */
+    bool holdable(StateId q) const { return holdableStates[q]; }
+
+    /** True if some state of startEnables(@p s) is holdable(). */
+    bool startFeedsHoldable(Symbol s) const
+    {
+        return startHoldSymbols.test(s);
+    }
+
+    /**
+     * True if some successor of @p q is holdable() — in particular if
+     * q has a self-loop. A step defers such a state's successors until
+     * its hold index is up to date; any other matched state enables
+     * its successors at once, with no lookup.
+     */
+    bool feedsHoldable(StateId q) const { return feedsHoldableStates[q]; }
+
     /** Initially active states: StartOfData starts. */
     const std::vector<StateId> &initialActive() const
     {
@@ -98,6 +141,16 @@ class CompiledNfa
         startReportsBySymbol;
     std::array<std::uint32_t, kAlphabetSize> startMatches{};
     std::vector<StateId> startOfDataStates;
+    // Bit-packed flags stay cache-resident: a step tests
+    // feedsHoldable() for every matched state. The group of each
+    // self-loop state sits beside its id in ascending-id order.
+    std::vector<bool> selfLoopStates;
+    std::vector<StateId> loopStateIds;
+    std::vector<std::uint32_t> loopStateGroups;
+    std::vector<bool> holdableStates;
+    std::vector<bool> feedsHoldableStates;
+    std::vector<CharClass> loopLabels;
+    CharClass startHoldSymbols;
 
     static constexpr ReportCode kNoReport =
         static_cast<ReportCode>(-1);

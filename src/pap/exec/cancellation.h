@@ -2,11 +2,13 @@
  * @file
  * Cooperative cancellation for hardened host-parallel execution. A
  * CancellationToken is shared between a worker running one segment
- * attempt and the watchdog that may need to stop it: the watchdog
- * calls cancel(), the worker polls cancelled() at TDM-round
- * granularity (and a stalled worker parks in waitCancelledFor()).
- * Cancellation is one-way and sticky; every retry attempt gets a
- * fresh token so an expired first attempt cannot poison its retry.
+ * attempt and the watchdog that may need to stop it: the worker
+ * reports progress and polls cancelled() at TDM-round (or 4,096-symbol
+ * chunk) granularity, and the watchdog calls cancel() once the
+ * progress count stops moving (a stalled worker parks in
+ * waitCancelledFor()). Cancellation is one-way and sticky; every retry
+ * attempt gets a fresh token so an expired first attempt cannot
+ * poison its retry.
  */
 
 #ifndef PAP_PAP_EXEC_CANCELLATION_H
@@ -15,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 
 namespace pap {
@@ -46,6 +49,24 @@ class CancellationToken
     }
 
     /**
+     * Record that the worker advanced (one TDM round or symbol
+     * chunk). Const because the worker holds the token read-only;
+     * the count is a relaxed heartbeat, not a synchronization point.
+     */
+    void
+    advance() const
+    {
+        progress_.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    /** Progress steps recorded so far (the watchdog's liveness probe). */
+    std::uint64_t
+    progress() const
+    {
+        return progress_.load(std::memory_order_relaxed);
+    }
+
+    /**
      * Block until cancelled or @p timeout elapses. Returns true when
      * the wakeup was a cancellation (used by the injected stall-worker
      * fault to park deterministically until the watchdog fires).
@@ -61,6 +82,7 @@ class CancellationToken
 
   private:
     std::atomic<bool> flag_{false};
+    mutable std::atomic<std::uint64_t> progress_{0};
     mutable std::mutex mutex_;
     mutable std::condition_variable cv_;
 };

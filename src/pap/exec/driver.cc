@@ -93,10 +93,8 @@ runAttempts(const HardenedExecOptions &options, Watchdog &watchdog,
         Watchdog::Handle handle = 0;
         if (armed)
             handle = watchdog.arm(
-                token, Watchdog::Clock::now() +
-                           std::chrono::microseconds(
-                               static_cast<std::int64_t>(
-                                   options.deadlineMs * 1000.0)));
+                token, std::chrono::microseconds(static_cast<std::int64_t>(
+                           options.deadlineMs * 1000.0)));
 
         Status status;
         if (fault == FaultInjector::WorkerFault::Stall) {

@@ -5,8 +5,9 @@
  * and the serve layer calls it once per chunk. runAttempts() wraps a
  * task in three resilience layers:
  *
- *  1. a Watchdog deadline — a stalled attempt is cancelled through its
- *     CancellationToken and surfaces as ErrorCode::DeadlineExceeded;
+ *  1. a progress Watchdog — an attempt whose CancellationToken stops
+ *     advancing for deadlineMs is cancelled through it and surfaces
+ *     as ErrorCode::DeadlineExceeded;
  *  2. capped-exponential-backoff retry — a failed attempt (deadline,
  *     crash, or error Status) is retried up to maxRetries times, each
  *     retry on a fresh token so an expired attempt cannot poison it;
@@ -51,7 +52,8 @@ struct HardenedExecOptions
     std::uint32_t threads = 1;
     /** Extra attempts after the first (0 disables retry). */
     std::uint32_t maxRetries = 2;
-    /** Watchdog deadline per attempt; <= 0 disables the watchdog. */
+    /** Watchdog window: an attempt that makes no progress for this
+     *  long is cancelled; <= 0 disables the watchdog. */
     double deadlineMs = 0.0;
     /** First retry backoff; doubles per retry up to backoffCapMs. */
     std::uint32_t backoffBaseMs = 1;

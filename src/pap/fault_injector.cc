@@ -185,6 +185,13 @@ FaultInjector::tryFire(FaultKind kind, Rng &stream)
     return true;
 }
 
+void
+FaultInjector::beginSegmentAttempt(std::uint64_t segment)
+{
+    std::lock_guard<std::mutex> lock(*mutex_);
+    segRngs_.erase(segment);
+}
+
 Rng &
 FaultInjector::segmentRng(std::uint64_t segment)
 {
@@ -370,6 +377,41 @@ FaultInjector::onCheckpointSave()
     --b.remaining;
     recordInjection(FaultKind::CrashAtCheckpoint);
     return true;
+}
+
+std::uint64_t
+FaultInjector::injected() const
+{
+    std::lock_guard<std::mutex> lock(*mutex_);
+    return totalInjected;
+}
+
+std::uint64_t
+FaultInjector::injected(FaultKind kind) const
+{
+    std::lock_guard<std::mutex> lock(*mutex_);
+    return injectedByKind[static_cast<std::size_t>(kind)];
+}
+
+std::uint32_t
+FaultInjector::remaining(FaultKind kind) const
+{
+    std::lock_guard<std::mutex> lock(*mutex_);
+    return budgets[static_cast<std::size_t>(kind)].remaining;
+}
+
+std::uint64_t
+FaultInjector::detected() const
+{
+    std::lock_guard<std::mutex> lock(*mutex_);
+    return totalDetected;
+}
+
+std::uint64_t
+FaultInjector::recovered() const
+{
+    std::lock_guard<std::mutex> lock(*mutex_);
+    return totalRecovered;
 }
 
 void

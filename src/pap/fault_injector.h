@@ -150,6 +150,17 @@ class FaultInjector
 
     // --- Injection hooks (called from the simulation hot path) ------
 
+    /**
+     * An attempt at the segment with stream coordinate @p segment
+     * starts: its hardware stream restarts from (seed, segment), so a
+     * retried attempt draws what the first one drew, and which faults
+     * strike a segment does not depend on how many attempts it took
+     * (a watchdog cancel mid-run would otherwise shift the draws). Fire
+     * budgets are not refunded, so only a binding budget can still
+     * tell a retried segment apart.
+     */
+    void beginSegmentAttempt(std::uint64_t segment);
+
     /** State-vector fault to apply to a flow at a context switch. */
     enum class SvAction : std::uint8_t { None, Corrupt, Evict };
 
@@ -239,21 +250,17 @@ class FaultInjector
     bool onCheckpointSave();
 
     // --- Bookkeeping -------------------------------------------------
+    // Every reader takes the lock: hooks on other threads (workers,
+    // serve's checkpoint writer) update the counters under it.
 
     /** Total faults injected so far. */
-    std::uint64_t injected() const { return totalInjected; }
+    std::uint64_t injected() const;
 
     /** Faults of one kind injected so far. */
-    std::uint64_t injected(FaultKind kind) const
-    {
-        return injectedByKind[static_cast<std::size_t>(kind)];
-    }
+    std::uint64_t injected(FaultKind kind) const;
 
     /** Remaining budget of one kind. */
-    std::uint32_t remaining(FaultKind kind) const
-    {
-        return budgets[static_cast<std::size_t>(kind)].remaining;
-    }
+    std::uint32_t remaining(FaultKind kind) const;
 
     /** Record that @p count injected faults were caught by the oracle. */
     void markDetected(std::uint64_t count);
@@ -261,8 +268,8 @@ class FaultInjector
     /** Record that @p count detected faults were repaired. */
     void markRecovered(std::uint64_t count);
 
-    std::uint64_t detected() const { return totalDetected; }
-    std::uint64_t recovered() const { return totalRecovered; }
+    std::uint64_t detected() const;
+    std::uint64_t recovered() const;
 
     /** One-line census for CLI output. */
     std::string summary() const;

@@ -66,12 +66,8 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
         return Status();
     };
 
-    std::uint64_t longest = 0;
-    for (const auto &stream : streams)
-        longest = std::max(longest, stream.size());
     const exec::HardenedExecOptions exec_opt = makeHardenedOptions(
-        options, exec::WorkerPool::resolveThreads(options.threads),
-        longest);
+        options, exec::WorkerPool::resolveThreads(options.threads));
     result.threadsUsed = exec_opt.threads;
     exec::SegmentPipeline::Options pipe_opt;
     pipe_opt.exec = exec_opt;

@@ -238,10 +238,11 @@ struct PapOptions
     double emulateDeviceNsPerSymbol = 0.0;
 
     /**
-     * Watchdog deadline per segment attempt, in wall-clock
-     * milliseconds. 0 derives a generous default from the segment
-     * length (10 us per symbol with a 5 s floor); negative disables
-     * the watchdog entirely.
+     * Watchdog liveness window per segment attempt, in wall-clock
+     * milliseconds: an attempt that makes no progress (no TDM round
+     * or 4,096-symbol chunk finished) for this long is cancelled and
+     * retried. A slow attempt that keeps advancing is never cancelled.
+     * 0 means 5 s; negative disables the watchdog entirely.
      */
     double segmentDeadlineMs = 0.0;
 

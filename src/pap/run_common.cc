@@ -61,8 +61,7 @@ resolvePipelineMode(PipelineMode requested)
 
 exec::HardenedExecOptions
 makeHardenedOptions(const PapOptions &options,
-                    std::uint32_t threads_resolved,
-                    std::uint64_t longest_unit)
+                    std::uint32_t threads_resolved)
 {
     exec::HardenedExecOptions opt;
     opt.threads = threads_resolved;
@@ -76,10 +75,10 @@ makeHardenedOptions(const PapOptions &options,
     if (options.segmentDeadlineMs > 0.0) {
         opt.deadlineMs = options.segmentDeadlineMs;
     } else if (options.segmentDeadlineMs == 0.0) {
-        // Auto deadline: generous enough that a healthy functional
-        // simulation never trips it (10 us/symbol with a 5 s floor).
-        opt.deadlineMs =
-            5000.0 + 0.01 * static_cast<double>(longest_unit);
+        // Auto window: a healthy attempt advances every TDM round or
+        // 4,096-symbol chunk, far more often than every 5 s, however
+        // long its segment.
+        opt.deadlineMs = 5000.0;
     } // negative: watchdog disabled (deadlineMs stays 0)
     return opt;
 }

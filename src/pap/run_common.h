@@ -64,15 +64,12 @@ Result<PipelineMode> resolvePipelineMode(PipelineMode requested);
 /**
  * Build the hardened-driver options every runner derives from
  * PapOptions: resolved thread count, retry/backoff knobs, injector,
- * and the watchdog deadline — explicit when positive, auto-derived
- * from @p longest_unit (the longest segment or stream, in symbols; a
- * generous 10 us/symbol with a 5 s floor) when zero, disabled when
- * negative.
+ * and the watchdog's no-progress window — explicit when positive,
+ * 5 s when zero, disabled when negative.
  */
 exec::HardenedExecOptions
 makeHardenedOptions(const PapOptions &options,
-                    std::uint32_t threads_resolved,
-                    std::uint64_t longest_unit);
+                    std::uint32_t threads_resolved);
 
 /**
  * Hash-combine @p v into @p h (splitmix64 finalizer): the mix the

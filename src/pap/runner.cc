@@ -441,11 +441,8 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         exec::WorkerPool::resolveThreads(options.threads);
     std::vector<SegmentExecution> runs(segs.size());
 
-    std::uint64_t longest = 0;
-    for (const Segment &s : segs)
-        longest = std::max(longest, s.length());
     const exec::HardenedExecOptions exec_opt =
-        makeHardenedOptions(options, result.threadsUsed, longest);
+        makeHardenedOptions(options, result.threadsUsed);
 
     // Every task writes only its own runs[j] slot, so scheduling order
     // cannot leak into the results; all reductions run in segment
@@ -480,17 +477,25 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                 // task occupies at least length * ns of wall-clock,
                 // sleeping out whatever the simulation left over
                 // (cancellation-aware, so the watchdog still works).
-                const auto device = std::chrono::nanoseconds(
-                    static_cast<std::int64_t>(
-                        static_cast<double>(s.length()) *
-                        options.emulateDeviceNsPerSymbol));
-                const auto elapsed =
-                    std::chrono::steady_clock::now() - task_t0;
-                if (device > elapsed)
+                // The emulated device streams while it sleeps: it
+                // advances the watchdog's progress count once per
+                // kProgressChunkSymbols of streaming, like a golden run.
+                const auto per_symbol = [&](std::uint64_t n) {
+                    return std::chrono::nanoseconds(
+                        static_cast<std::int64_t>(
+                            static_cast<double>(n) *
+                            options.emulateDeviceNsPerSymbol));
+                };
+                const auto device_end = task_t0 + per_symbol(s.length());
+                for (auto now = std::chrono::steady_clock::now();
+                     now < device_end && !cancel.cancelled();
+                     now = std::chrono::steady_clock::now()) {
                     cancel.waitCancelledFor(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(device -
-                                                      elapsed));
+                        std::min<std::chrono::steady_clock::duration>(
+                            device_end - now,
+                            per_symbol(kProgressChunkSymbols)));
+                    cancel.advance();
+                }
             }
             if (cancel.cancelled())
                 return Status::error(ErrorCode::DeadlineExceeded,

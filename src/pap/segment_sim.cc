@@ -30,14 +30,15 @@ runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
     if (!cancel) {
         engine.run(data, seg_len);
     } else {
-        // Chunked so a watchdog cancellation is honored promptly.
-        constexpr std::uint64_t kCancelCheckChunk = 4096;
+        // Chunked so the watchdog sees progress and a cancellation is
+        // honored promptly.
         std::uint64_t pos = 0;
         while (pos < seg_len && !cancel->cancelled()) {
             const std::uint64_t n =
-                std::min(kCancelCheckChunk, seg_len - pos);
+                std::min(kProgressChunkSymbols, seg_len - pos);
             engine.run(data + pos, n);
             pos += n;
+            cancel->advance();
         }
     }
 
@@ -117,8 +118,11 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
     std::uint64_t processed = 0;
     std::uint64_t round = 0;
     while (processed < seg_len) {
-        if (cancel && cancel->cancelled())
-            break; // partial run; the hardened driver discards it
+        if (cancel) {
+            if (cancel->cancelled())
+                break; // partial run; the hardened driver discards it
+            cancel->advance();
+        }
         const std::uint64_t round_end =
             std::min(processed + quantum, seg_len);
 
@@ -314,6 +318,8 @@ executeSegment(const CompiledNfa &cnfa, const FlowPlan *plan,
                const exec::CancellationToken *cancel,
                obs::AttribLedger *attrib)
 {
+    if (options.faultInjector)
+        options.faultInjector->beginSegmentAttempt(seg_begin);
     EngineScratch scratch(cnfa.size());
     SegmentExecution out;
     if (!plan) {

@@ -97,15 +97,21 @@ FlowOutcomes countFlowOutcomes(const SegmentRun &run);
 class FaultInjector;
 
 /**
+ * Symbols a golden run consumes between watchdog progress reports
+ * (and cancellation polls).
+ */
+inline constexpr std::uint64_t kProgressChunkSymbols = 4096;
+
+/**
  * Run a single golden flow with full start-state machinery over
  * @p cnfa: the first segment, seeded with the StartOfData states, or —
  * when @p start is non-null — the sequential continuation of the true
  * path from that active set (the oracle that recovers a segment whose
  * retries ran out, and the sequential baseline itself). @p injector,
  * when non-null, may drop or truncate the flow's report buffer.
- * @p cancel, when non-null, is polled cooperatively (the run is
- * chunked); a cancelled run returns early with a partial record the
- * caller must discard.
+ * @p cancel, when non-null, is polled and advanced once per
+ * kProgressChunkSymbols; a cancelled run returns early with a partial
+ * record the caller must discard.
  */
 SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
                             const Symbol *data,
@@ -126,8 +132,9 @@ SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
  * use plan.flows.size() (correct when @p plan is a whole plan rather
  * than one SVC batch of a larger one).
  *
- * @p cancel, when non-null, is polled once per TDM round; a cancelled
- * run returns early with a partial record the caller must discard.
+ * @p cancel, when non-null, is polled and advanced once per TDM round;
+ * a cancelled run returns early with a partial record the caller must
+ * discard.
  */
 SegmentRun runEnumSegment(const CompiledNfa &cnfa,
                           const FlowPlan &plan,
@@ -172,7 +179,9 @@ std::uint32_t svcBatchCapacity(std::uint32_t svc_capacity, bool has_asg);
  * leaves residency churn to the timeline's live cache. Batches past
  * the first are charged to @p attrib's aux bucket "workers.svc_batch"
  * when a ledger is given. @p cancel is polled as in runGoldenSegment
- * and runEnumSegment; a cancelled run is partial.
+ * and runEnumSegment; a cancelled run is partial. Each call is one
+ * attempt: it restarts options.faultInjector's hardware stream for
+ * @p seg_begin (FaultInjector::beginSegmentAttempt).
  */
 SegmentExecution executeSegment(const CompiledNfa &cnfa,
                                 const FlowPlan *plan,

@@ -160,8 +160,7 @@ Server::Server(const ServeOptions &options, const Nfa &ruleset)
     threads_ = exec::WorkerPool::resolveThreads(opts_.threads);
     execPap_ = opts_.pap;
     execPap_.faultInjector = nullptr;
-    execOpt_ =
-        makeHardenedOptions(opts_.pap, threads_, opts_.chunkSymbols);
+    execOpt_ = makeHardenedOptions(opts_.pap, threads_);
     // Cold-start recovery runs before the install so the replayed
     // generation floor is in place when the boot ruleset publishes.
     recoverColdStart(ruleset);

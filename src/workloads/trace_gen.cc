@@ -7,6 +7,58 @@
 
 namespace pap {
 
+namespace {
+
+/**
+ * The true path's active set, in the order the trace model draws
+ * from: each matched state's successors in edge order, matched states
+ * in list order, then the AllInput start activity (AllInput starts
+ * themselves stay out, as in a start-mode engine). A state is drawn by
+ * index, so this order is part of every generated trace; the
+ * generator owns it instead of borrowing an engine's internal layout.
+ */
+class Frontier
+{
+  public:
+    explicit Frontier(const CompiledNfa &compiled)
+        : cnfa(compiled), scratch(compiled.size())
+    {
+        scratch.bump();
+        for (const StateId q : cnfa.initialActive())
+            if (!cnfa.isAllInputStart(q) && scratch.claim(q))
+                active.push_back(q);
+    }
+
+    const std::vector<StateId> &states() const { return active; }
+
+    void
+    step(Symbol s)
+    {
+        scratch.bump();
+        next.clear();
+        for (const StateId q : active) {
+            if (!cnfa.label(q).test(s))
+                continue;
+            const auto [begin, end] = cnfa.successors(q);
+            for (const StateId *t = begin; t != end; ++t)
+                if (!cnfa.isAllInputStart(*t) && scratch.claim(*t))
+                    next.push_back(*t);
+        }
+        for (const StateId t : cnfa.startEnables(s))
+            if (scratch.claim(t))
+                next.push_back(t);
+        active.swap(next);
+    }
+
+  private:
+    const CompiledNfa &cnfa;
+    EngineScratch scratch;
+    std::vector<StateId> active;
+    std::vector<StateId> next;
+};
+
+} // namespace
+
 InputTrace
 generateTrace(const Nfa &nfa, std::uint64_t len,
               const TraceGenOptions &options, std::uint64_t seed)
@@ -15,8 +67,7 @@ generateTrace(const Nfa &nfa, std::uint64_t len,
                "trace generator needs a base alphabet");
     Rng rng(seed);
     CompiledNfa cnfa(nfa);
-    FunctionalEngine engine(cnfa, /*starts=*/true);
-    engine.reset(cnfa.initialActive(), 0);
+    Frontier frontier(cnfa);
 
     std::vector<Symbol> out(len);
     for (std::uint64_t i = 0; i < len; ++i) {
@@ -24,12 +75,12 @@ generateTrace(const Nfa &nfa, std::uint64_t len,
         if (options.separatorPeriod &&
             i % options.separatorPeriod == options.separatorPeriod - 1) {
             sym = options.separator;
-        } else if (!engine.activeRaw().empty() &&
+        } else if (!frontier.states().empty() &&
                    rng.nextBool(options.pm)) {
             // Extend the traversal of a random active state: emit a
             // symbol its label matches, so the state fires and its
             // successors activate (depth-wise walk).
-            const auto &active = engine.activeRaw();
+            const auto &active = frontier.states();
             const StateId q = active[rng.nextBelow(active.size())];
             const CharClass &cls = cnfa.label(q);
             const int members = cls.count();
@@ -45,7 +96,7 @@ generateTrace(const Nfa &nfa, std::uint64_t len,
                 options.baseAlphabet.size())];
         }
         out[i] = sym;
-        engine.step(sym);
+        frontier.step(sym);
     }
     return InputTrace(std::move(out));
 }

@@ -3,8 +3,11 @@
  * Differential tests of the sparse FunctionalEngine against the
  * reference interpreter (referenceRun): step by step on random
  * automata in start mode and in enumeration mode with random seeds,
- * across overwriteActive, and on a 16K-state automaton. Whole PAP
- * runs over that automaton must be byte-identical (reports, cycle
+ * on automata dense in self-loop states (the persistent-set path),
+ * across reset, overwriteActive and mid-run snapshots, and on a
+ * 16K-state automaton. Active sets, sorted reports and the exact
+ * matches/enables/symbols counters must all agree. Whole PAP runs
+ * over the 16K automaton must be byte-identical (reports, cycle
  * counts, per-segment facts) across thread counts, pipeline modes and
  * a checkpoint resume.
  */
@@ -78,9 +81,11 @@ expectedActive(const Nfa &ref_nfa, const std::set<StateId> &enabled,
 }
 
 /**
- * Step @p engine over @p t, comparing its active set with the
- * reference run of @p ref_nfa after every @p every-th symbol and its
- * sorted reports at the end.
+ * Step @p engine over @p t, comparing its active set and its matches,
+ * enables and symbols counters (since the call) with the reference run
+ * of @p ref_nfa after every @p every-th symbol, and its sorted reports
+ * (offsets relative to the engine's cursor at the call) at the end.
+ * Reports the engine holds at the call are dropped.
  */
 void
 expectMatchesReference(FunctionalEngine &engine, const Nfa &ref_nfa,
@@ -89,18 +94,40 @@ expectMatchesReference(FunctionalEngine &engine, const Nfa &ref_nfa,
 {
     const ReferenceResult ref =
         referenceRun(ref_nfa, t.symbols(), /*record_sets=*/true);
+    const std::uint64_t base = engine.cursor();
+    const EngineCounters before = engine.counters();
+    engine.takeReports();
+    // Matches: enabled states whose label holds the symbol (AllInput
+    // starts included — the engine counts them through its start
+    // fold). Enables: the active set after the step.
+    std::set<StateId> enabled(ref_nfa.startStates().begin(),
+                              ref_nfa.startStates().end());
+    std::uint64_t matches = 0;
+    std::uint64_t enables = 0;
     for (std::uint64_t i = 0; i < t.size(); ++i) {
         engine.step(t[i]);
+        for (const StateId q : enabled)
+            matches += ref_nfa[q].label.test(t[i]);
+        enabled = ref.enabledAfter[i];
+        const auto expect = expectedActive(ref_nfa, enabled, starts);
+        enables += expect.size();
         if (i % every != 0 && i + 1 != t.size())
             continue;
-        const auto expect =
-            expectedActive(ref_nfa, ref.enabledAfter[i], starts);
         ASSERT_EQ(engine.snapshot(), expect) << what << " at " << i;
         EXPECT_EQ(engine.activeCount(), expect.size()) << what;
         EXPECT_EQ(engine.dead(), expect.empty()) << what;
+        const EngineCounters &now = engine.counters();
+        ASSERT_EQ(now.matches - before.matches, matches)
+            << what << " at " << i;
+        ASSERT_EQ(now.enables - before.enables, enables)
+            << what << " at " << i;
+        ASSERT_EQ(now.symbols - before.symbols, i + 1) << what;
     }
-    EXPECT_EQ(engine.cursor(), t.size()) << what;
-    EXPECT_EQ(sortedReports(engine.takeReports()), ref.reports) << what;
+    EXPECT_EQ(engine.cursor(), base + t.size()) << what;
+    std::vector<ReportEvent> got = engine.takeReports();
+    for (ReportEvent &e : got)
+        e.offset -= base;
+    EXPECT_EQ(sortedReports(got), ref.reports) << what;
 }
 
 TEST(EngineDiff, FuzzMatchesReferenceStepByStep)
@@ -209,6 +236,186 @@ TEST(EngineDiff, OverwriteActiveAppliesSameFiltering)
         EXPECT_EQ(sortedReports(after),
                   referenceRun(ref_nfa, rest.symbols()).reports)
             << "starts " << starts;
+    }
+}
+
+// --- Self-loop-rich automata: the persistent-set step ----------------
+
+/**
+ * A random automaton dense in self-loop states: Sigma minus @p kill
+ * gap states, full-Sigma ".*" states and narrow self-loops, chained
+ * into each other (g1 -> g2) and into the literal states they hold
+ * enabled. Any state may report or be a start of either kind, so
+ * reporting and AllInput self-loops occur too.
+ */
+Nfa
+loopRichNfa(Rng &rng, Symbol kill)
+{
+    Nfa nfa("loops");
+    const std::string letters = "abcdefgh";
+    const auto letter = [&] {
+        return static_cast<Symbol>(letters[rng.nextBelow(letters.size())]);
+    };
+    const auto n = static_cast<StateId>(6 + rng.nextBelow(40));
+    std::vector<bool> loops(n);
+    for (StateId q = 0; q < n; ++q) {
+        CharClass label;
+        switch (rng.nextBelow(6)) {
+          case 0:
+          case 1: // gap
+            label = CharClass::all();
+            label.reset(kill);
+            loops[q] = rng.nextBool(0.9);
+            break;
+          case 2: // .*
+            label = CharClass::all();
+            loops[q] = rng.nextBool(0.9);
+            break;
+          case 3: // narrow, e.g. [ab]*
+            label.set(letter());
+            label.set(letter());
+            loops[q] = rng.nextBool(0.6);
+            break;
+          default: // literal, sometimes the kill symbol itself
+            label.set(rng.nextBool(0.2) ? kill : letter());
+            loops[q] = rng.nextBool(0.1);
+            break;
+        }
+        const std::uint64_t start = rng.nextBelow(8);
+        const bool reporting = rng.nextBool(0.25);
+        nfa.addState(label,
+                     start == 0   ? StartType::AllInput
+                     : start == 1 ? StartType::StartOfData
+                                  : StartType::None,
+                     reporting, reporting ? q : 0);
+    }
+    for (StateId q = 0; q < n; ++q) {
+        if (loops[q])
+            nfa.addEdge(q, q);
+        const std::uint64_t fanout = 1 + rng.nextBelow(3);
+        for (std::uint64_t e = 0; e < fanout; ++e)
+            nfa.addEdge(q, static_cast<StateId>(rng.nextBelow(n)));
+    }
+    nfa.finalize();
+    return nfa;
+}
+
+/** A trace over a..h in which @p kill makes up about @p density. */
+InputTrace
+killDenseTrace(Rng &rng, std::size_t len, Symbol kill, double density)
+{
+    std::vector<Symbol> data(len);
+    for (auto &s : data)
+        s = rng.nextBool(density)
+                ? kill
+                : static_cast<Symbol>('a' + rng.nextBelow(8));
+    return InputTrace(std::move(data));
+}
+
+/** A random subset of @p nfa's states, each kept with @p p. */
+std::vector<StateId>
+randomStates(Rng &rng, const Nfa &nfa, double p)
+{
+    std::vector<StateId> out;
+    for (StateId q = 0; q < nfa.size(); ++q)
+        if (rng.nextBool(p))
+            out.push_back(q);
+    return out;
+}
+
+TEST(EngineDiffLoops, FuzzMatchesReferenceStepByStep)
+{
+    // Kill symbols: a separator outside the literal alphabet and a
+    // letter that literal states match too; kill densities from rare
+    // to most symbols.
+    Rng rng(4242);
+    for (int iter = 0; iter < 120; ++iter) {
+        const Symbol kill = iter % 2 ? '\n' : 'c';
+        const Nfa nfa = loopRichNfa(rng, kill);
+        const CompiledNfa cnfa(nfa);
+        ASSERT_GT(cnfa.loopStates(), 0u);
+        const double density = std::vector<double>{0.02, 0.2, 0.6}[iter % 3];
+        const InputTrace t =
+            killDenseTrace(rng, 128 + rng.nextBelow(384), kill, density);
+        for (const bool starts : {true, false}) {
+            std::vector<StateId> seed = cnfa.initialActive();
+            if (!starts)
+                seed = randomStates(rng, nfa, 0.3);
+            FunctionalEngine engine(cnfa, starts);
+            engine.reset(seed, 1000);
+            expectMatchesReference(
+                engine, starts ? nfa : reseeded(nfa, seed, false), t,
+                starts, 1,
+                "loops iter " + std::to_string(iter) + " starts " +
+                    std::to_string(starts));
+        }
+    }
+}
+
+TEST(EngineDiffLoops, MidRunResetOverwriteAndSnapshots)
+{
+    // Mid-run: an engine reset() to another's snapshot has the same
+    // set, hash and future; after overwriteActive() an engine tracks
+    // the reference seeded with the survivors; reset() wipes the
+    // persistent set.
+    Rng rng(2424);
+    for (int iter = 0; iter < 60; ++iter) {
+        const Symbol kill = iter % 2 ? 'a' : '\r';
+        const Nfa nfa = loopRichNfa(rng, kill);
+        const CompiledNfa cnfa(nfa);
+        const InputTrace t = killDenseTrace(rng, 600, kill, 0.1);
+        const std::uint64_t cut = 50 + rng.nextBelow(250);
+        for (const bool starts : {true, false}) {
+            const std::string what = "iter " + std::to_string(iter) +
+                                     " starts " + std::to_string(starts);
+            const std::vector<StateId> seed =
+                starts ? cnfa.initialActive() : randomStates(rng, nfa, 0.4);
+            EngineScratch shared(cnfa.size());
+            FunctionalEngine a(cnfa, starts, &shared);
+            a.reset(seed);
+            a.run(t.begin(), cut);
+
+            FunctionalEngine b(cnfa, starts, &shared);
+            b.reset(a.snapshot(), cut);
+            EXPECT_EQ(b.snapshot(), a.snapshot()) << what;
+            EXPECT_EQ(b.stateHash(), a.stateHash()) << what;
+            EXPECT_TRUE(b.sameActiveSet(a)) << what;
+            EXPECT_TRUE(a.sameActiveSet(b)) << what;
+            a.takeReports();
+            const std::uint64_t a_matches = a.counters().matches;
+            for (std::uint64_t i = cut; i < 2 * cut; ++i) {
+                a.step(t[i]);
+                b.step(t[i]);
+                ASSERT_TRUE(a.sameActiveSet(b)) << what << " at " << i;
+                ASSERT_EQ(a.stateHash(), b.stateHash()) << what;
+                ASSERT_EQ(a.activeCount(), b.activeCount()) << what;
+            }
+            EXPECT_EQ(a.counters().matches - a_matches,
+                      b.counters().matches) << what;
+            EXPECT_EQ(sortedReports(a.takeReports()),
+                      sortedReports(b.takeReports())) << what;
+
+            // Overwrite mid-run, then follow the reference.
+            const std::vector<StateId> vector = randomStates(rng, nfa, 0.5);
+            a.overwriteActive(vector);
+            std::vector<StateId> kept;
+            for (const StateId q : vector)
+                if (!starts || !cnfa.isAllInputStart(q))
+                    kept.push_back(q);
+            EXPECT_EQ(a.snapshot(), kept) << what;
+            const InputTrace rest(std::vector<Symbol>(
+                t.begin() + 2 * cut, t.begin() + t.size()));
+            expectMatchesReference(a, reseeded(nfa, kept, starts), rest,
+                                   starts, 1, what + " overwrite");
+
+            // reset() drops every persistent state.
+            a.reset({}, 0);
+            EXPECT_TRUE(a.dead()) << what;
+            EXPECT_EQ(a.activeCount(), 0u) << what;
+            EXPECT_EQ(a.counters().matches, 0u) << what;
+            expectMatchesReference(a, reseeded(nfa, {}, starts), t, starts,
+                                   5, what + " after reset");
+        }
     }
 }
 

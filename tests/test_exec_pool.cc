@@ -256,8 +256,7 @@ TEST(Watchdog, CancelsOverrunningAttempt)
 {
     Watchdog dog;
     auto token = std::make_shared<CancellationToken>();
-    dog.arm(token, Watchdog::Clock::now() +
-                       std::chrono::milliseconds(5));
+    dog.arm(token, std::chrono::milliseconds(5));
     EXPECT_TRUE(
         token->waitCancelledFor(std::chrono::milliseconds(5000)));
     EXPECT_EQ(dog.expiries(), 1u);
@@ -267,14 +266,36 @@ TEST(Watchdog, DisarmedAttemptIsNeverCancelled)
 {
     Watchdog dog;
     auto token = std::make_shared<CancellationToken>();
-    const Watchdog::Handle h = dog.arm(
-        token,
-        Watchdog::Clock::now() + std::chrono::milliseconds(50));
+    const Watchdog::Handle h =
+        dog.arm(token, std::chrono::milliseconds(50));
     dog.disarm(h);
     dog.disarm(h); // idempotent
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     EXPECT_FALSE(token->cancelled());
     EXPECT_EQ(dog.expiries(), 0u);
+}
+
+TEST(Watchdog, AdvancingAttemptOutlivesManyWindows)
+{
+    // A worker that advances every millisecond runs for 10 windows of
+    // 20 ms and is never cancelled; once it stops advancing, the next
+    // window cancels it.
+    Watchdog dog;
+    auto token = std::make_shared<CancellationToken>();
+    const Watchdog::Handle h =
+        dog.arm(token, std::chrono::milliseconds(20));
+    const auto until =
+        Watchdog::Clock::now() + std::chrono::milliseconds(200);
+    while (Watchdog::Clock::now() < until) {
+        token->advance();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_FALSE(token->cancelled());
+    EXPECT_EQ(dog.expiries(), 0u);
+    EXPECT_TRUE(
+        token->waitCancelledFor(std::chrono::milliseconds(5000)));
+    EXPECT_EQ(dog.expiries(), 1u);
+    dog.disarm(h);
 }
 
 // --- Attempt ladder (runAttempts, barrier SegmentPipeline) -----------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -218,6 +219,33 @@ TEST(Escalation, WatchdogTimeoutEscalatesToOracleWhenStallPersists)
     EXPECT_GT(r.segmentsRecovered, 0u);
     EXPECT_LT(r.segmentsRecovered, r.numSegments);
     EXPECT_EQ(r.reports, clean.reports);
+}
+
+TEST(Escalation, SlowSegmentThatAdvancesIsNeverRetried)
+{
+    // Two segments, each held for over 200 ms by the emulated device
+    // (10x the 20 ms watchdog window) while it streams and reports
+    // progress every 4,096 symbols (about 5 ms): the watchdog judges
+    // liveness, not duration, so nothing is cancelled or retried.
+    Rng rng(78);
+    const Nfa nfa = compileRuleset({{"ab.*cd", 1}, {"fgh", 2}}, "m");
+    const InputTrace input = randomTextTrace(rng, 2 * 163840, "abcdfgh ");
+    PapOptions opt;
+    opt.threads = 2;
+    opt.segmentDeadlineMs = 20.0;
+    opt.emulateDeviceNsPerSymbol = 1250.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    const PapResult r = runPap(nfa, input, smallBoard(2), opt);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.numSegments, 2u);
+    EXPECT_GE(ms, 10 * opt.segmentDeadlineMs);
+    EXPECT_EQ(r.segmentsRetried, 0u);
+    EXPECT_EQ(r.segmentsRecovered, 0u);
+    EXPECT_FALSE(r.degraded);
+    EXPECT_TRUE(r.verified);
 }
 
 TEST(Escalation, NegativeDeadlineDisablesTheWatchdog)

@@ -1,14 +1,16 @@
 /**
  * @file
  * Workload generator tests: determinism, structural conformance of
- * the synthetic benchmarks to their Table-1 profiles, and the p_m
- * trace model.
+ * the synthetic benchmarks to their Table-1 profiles, the p_m trace
+ * model, and the pinned benchmark traces.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "engine/functional_engine.h"
 #include "nfa/analysis.h"
@@ -161,6 +163,31 @@ TEST(Workloads, HigherPmDrivesMoreMatches)
         return e.reports().size();
     };
     EXPECT_GT(count_reports(th), 4 * count_reports(tl));
+}
+
+TEST(Workloads, BenchmarkTracesArePinned)
+{
+    // The benchmark inputs of every repo benchmark row and of
+    // `papsim gentrace`: a generator change (say, a new engine layout
+    // leaking into the order it draws active states from) must not
+    // silently change them. FNV-1a of the seed-1, 8 KiB traces.
+    const std::pair<const char *, std::uint64_t> kPinned[] = {
+        {"SPM", 0x75cfce140f35574bull},
+        {"Dotstar06", 0x4be3520440401b96ull},
+        {"Snort", 0x05e23d9036d6e197ull},
+        {"Fermi", 0xc15419914bd65974ull},
+        {"ClamAV", 0x70ec08e3fa1b72c0ull},
+    };
+    for (const auto &[name, pinned] : kPinned) {
+        const InputTrace t =
+            buildBenchmarkTrace(buildBenchmark(name), name, 8192, 1);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            h ^= t[i];
+            h *= 0x100000001b3ull;
+        }
+        EXPECT_EQ(h, pinned) << name;
+    }
 }
 
 TEST(Workloads, BenchmarkTraceUsesBenchmarkAlphabet)

@@ -98,6 +98,10 @@ usage()
         "           --threads=0 uses one thread per hardware thread;\n"
         "           PAP_THREADS sets the default when the flag is\n"
         "           absent.\n"
+        "           --deadline-ms: a segment attempt that finishes no\n"
+        "           TDM round or 4096-symbol chunk for X ms is\n"
+        "           cancelled and retried (default 5000; negative\n"
+        "           disables); slow but advancing segments never are.\n"
         "           --pipeline schedules host execution vs\n"
         "           composition (default auto: PAP_PIPELINE, then\n"
         "           barrier); reports are identical either way.\n"
